@@ -10,6 +10,7 @@ function, so automata can be shared freely between workers.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 Word = tuple[int, ...]
@@ -189,6 +190,54 @@ def accepts(a: Nfa, w: Word) -> bool:
             return False
         cur = _closure(a, nxt)
     return bool(cur & a.finals)
+
+
+def word_masks(a: Nfa) -> tuple[Callable[[Word], int], Callable[[Word], int]]:
+    """Membership oracle for many prefix/suffix splits of one automaton.
+
+    Returns ``(fwd, bwd)``, both memoised: ``fwd(x)`` is the bitmask of
+    states reached from the start by reading x, and ``bwd(w)`` the bitmask
+    of states from which w reaches a final state.  Then x·w is in L(a)
+    iff ``fwd(x) & bwd(w)`` is non-zero, so each prefix and each suffix is
+    simulated once, not once per pair.
+    """
+    a = remove_lambda(a)
+    succ = [[0] * a.alphabet.size for _ in range(a.state_count)]
+    pred = [[0] * a.alphabet.size for _ in range(a.state_count)]
+    for p, x, q in a.transitions:
+        succ[p][x] |= 1 << q
+        pred[q][x] |= 1 << p
+
+    def step(rel, mask, x):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= rel[low.bit_length() - 1][x]
+            mask ^= low
+        return out
+
+    fwd_memo = {(): 1 << a.start}
+    bwd_memo = {(): sum(1 << q for q in a.finals)}
+
+    def fwd(x: Word) -> int:
+        i = len(x)
+        while x[:i] not in fwd_memo:
+            i -= 1
+        mask = fwd_memo[x[:i]]
+        for j in range(i, len(x)):
+            mask = fwd_memo[x[: j + 1]] = step(succ, mask, x[j])
+        return mask
+
+    def bwd(w: Word) -> int:
+        i = 0
+        while w[i:] not in bwd_memo:
+            i += 1
+        mask = bwd_memo[w[i:]]
+        for j in range(i - 1, -1, -1):
+            mask = bwd_memo[w[j:]] = step(pred, mask, w[j])
+        return mask
+
+    return fwd, bwd
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from .automata import (
     accepts,
     canonical_dfa,
     enumerate_words,
+    word_masks,
 )
 from .constructions import (
     complement_sf,
@@ -23,7 +24,12 @@ from .constructions import (
     star_sf,
     union_sf,
 )
-from .errors import BudgetExceeded, ParameterOutOfRange, SearchBudgetExceeded
+from .errors import (
+    BudgetExceeded,
+    CertificateError,
+    ParameterOutOfRange,
+    SearchBudgetExceeded,
+)
 from .witnesses import Family, WitnessSpec, build
 from .automata import lambda_nfa, alphabet as make_alphabet
 
@@ -48,25 +54,15 @@ class FoolingSet:
 
 def verify_fooling_set(a: Nfa, p: FoolingSet) -> bool:
     """Check both fooling-set conditions against L(a)."""
-    words = [(a.alphabet.word(x), a.alphabet.word(w)) for x, w in p.pairs]
-    member = {}
-
-    def in_lang(u, v):
-        key = u + v
-        if key not in member:
-            member[key] = accepts(a, key)
-        return member[key]
-
-    for x, w in words:
-        if not in_lang(x, w):
-            return False
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            xi, wi = words[i]
-            xj, wj = words[j]
-            if in_lang(xi, wj) and in_lang(xj, wi):
-                return False
-    return True
+    fwd, bwd = word_masks(a)
+    masks = [(fwd(a.alphabet.word(x)), bwd(a.alphabet.word(w))) for x, w in p.pairs]
+    if not all(f & b for f, b in masks):
+        return False
+    return not any(
+        fi & bj and fj & bi
+        for i, (fi, bi) in enumerate(masks)
+        for fj, bj in masks[i + 1:]
+    )
 
 
 class FoolingFamily(enum.Enum):
@@ -160,23 +156,24 @@ def search_fooling_set(
     if not cands:
         return None
 
-    member = {tuple(w): True for w in words}
-
-    def in_lang(u, v):
-        key = u + v
-        if len(key) <= max_word_len:
-            return key in member
-        return accepts(a, key)
-
+    # Group candidates by forward and by backward mask.  S[f] holds the j
+    # with x w_j in L for any x of mask f, T[b] the j with x_j w in L for
+    # any w of mask b; classes partition the candidates, so sum is union.
+    # i and j are compatible unless j is in S[f_i] & T[b_i], which always
+    # holds i itself, since x_i w_i is in L.
+    fwd, bwd = word_masks(a)
     nc = len(cands)
-    adj = [0] * nc
-    for i in range(nc):
-        xi, wi = cands[i]
-        for j in range(i + 1, nc):
-            xj, wj = cands[j]
-            if not (in_lang(xi, wj) and in_lang(xj, wi)):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    f_of = [fwd(x) for x, _ in cands]
+    b_of = [bwd(w) for _, w in cands]
+    f_class: dict[int, int] = {}
+    b_class: dict[int, int] = {}
+    for j in range(nc):
+        f_class[f_of[j]] = f_class.get(f_of[j], 0) | 1 << j
+        b_class[b_of[j]] = b_class.get(b_of[j], 0) | 1 << j
+    S = {f: sum(js for b, js in b_class.items() if f & b) for f in f_class}
+    T = {b: sum(js for f, js in f_class.items() if f & b) for b in b_class}
+    full = (1 << nc) - 1
+    adj = [full & ~(S[f_of[i]] & T[b_of[i]]) for i in range(nc)]
 
     if nc <= _EXACT_CLIQUE_NODES:
         best = _max_clique_exact(adj)
@@ -188,7 +185,8 @@ def search_fooling_set(
     fs = FoolingSet(
         tuple((a.alphabet.text(cands[i][0]), a.alphabet.text(cands[i][1])) for i in chosen)
     )
-    assert verify_fooling_set(a, fs), "search produced an unverifiable fooling set"
+    if not verify_fooling_set(a, fs):
+        raise CertificateError("search produced an unverifiable fooling set")
     return fs
 
 
@@ -217,12 +215,15 @@ def _clique_greedy(adj, target_size, seed, restarts) -> list[int]:
     rng = random.Random(seed)
     degree_order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     best: list[int] = []
-    orders = [degree_order]
-    for _ in range(restarts):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        orders.append(perm)
-    for order in orders:
+
+    def orders():
+        yield degree_order
+        for _ in range(restarts):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield perm
+
+    for order in orders():
         for start in order[: min(n, 64)]:
             clique = [start]
             mask = adj[start]

@@ -33,6 +33,7 @@ from .constructions import (
 )
 from .errors import (
     BudgetExceeded,
+    CertificateError,
     NonReturningViolation,
     ParameterOutOfRange,
     ParseError,
@@ -49,6 +50,11 @@ def _load(path):
     except ParseError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+
+
+def _fail_certificate(exc):
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(4)
 
 
 def _fail_precondition(exc):
@@ -180,7 +186,7 @@ def verify_fooling_set_cmd(automaton, pairs_file):
 
 @main.command()
 @click.argument("automaton", type=click.Path())
-@click.option("--max-states", "max_states", type=int, required=True)
+@click.option("--max-states", "max_states", type=click.IntRange(min=1), required=True)
 def nsc(automaton, max_states):
     """Exhaustive minimal-NFA search up to a state ceiling."""
     nfa = _load(automaton)
@@ -205,6 +211,8 @@ def certify_cmd(operation, m, n, as_json, seed):
     except (ParameterOutOfRange, SearchBudgetExceeded) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    except CertificateError as exc:
+        _fail_certificate(exc)
     if as_json:
         click.echo(json.dumps(report.to_dict()))
     else:
@@ -288,7 +296,10 @@ def table(m_range, n_range, fmt, seed):
             for n in (ns if binary else [None]):
                 if binary and n < 2:
                     continue
-                report = certify(operation, m, n, seed=seed)
+                try:
+                    report = certify(operation, m, n, seed=seed)
+                except CertificateError as exc:
+                    _fail_certificate(exc)
                 verdict = _verdict(report)
                 if operation in _TIGHT_EXPECTED and not report.tight:
                     failed = True
@@ -328,7 +339,7 @@ def table(m_range, n_range, fmt, seed):
 
 @main.command()
 @click.argument("automaton", type=click.Path())
-@click.option("--max-len", "max_len", type=int, required=True)
+@click.option("--max-len", "max_len", type=click.IntRange(min=0), required=True)
 def enumerate(automaton, max_len):
     """List accepted words up to a length bound (λ prints as ~)."""
     nfa = _load(automaton)

@@ -43,3 +43,7 @@ class SearchBudgetExceeded(SfnfaError):
 class BudgetExceeded(SfnfaError):
     """Exhaustive minimal-NFA search refused a state ceiling that would
     exceed the enumeration budget."""
+
+
+class CertificateError(SfnfaError):
+    """A certificate the package produced failed its own re-check."""

@@ -20,6 +20,7 @@ from sfnfa.automata import (
     product_intersection,
     remove_lambda,
     trim,
+    word_masks,
 )
 from sfnfa.constructions import reverse_nfa
 from sfnfa.suffixfree import is_non_returning
@@ -304,3 +305,15 @@ def test_membership_agreement_up_to_length_12():
     d = determinize(lam_free)
     for word in all_words(a.alphabet, 12):
         assert accepts(a, word) == accepts(lam_free, word) == dfa_accepts(d, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.lists(st.integers(0, 1), max_size=8))
+def test_word_masks_agree_with_accepts(seed, word):
+    rng = random.Random(seed)
+    a = random_nfa(rng, max_states=5, lambda_prob=0.3)
+    word = tuple(word)
+    fwd, bwd = word_masks(a)
+    expected = accepts(a, word)
+    for i in range(len(word) + 1):
+        assert bool(fwd(word[:i]) & bwd(word[i:])) == expected

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sfnfa import bounds
 from sfnfa.automata import alphabet, empty_nfa, lambda_nfa, make_nfa
 from sfnfa.bounds import (
     FoolingFamily,
@@ -15,7 +16,7 @@ from sfnfa.bounds import (
     verify_fooling_set,
 )
 from sfnfa.constructions import concat_sf, intersect_sf, reverse_nfa, star_sf, union_sf
-from sfnfa.errors import BudgetExceeded, ParameterOutOfRange
+from sfnfa.errors import BudgetExceeded, CertificateError, ParameterOutOfRange
 from sfnfa.witnesses import Family, WitnessSpec, build
 
 
@@ -118,6 +119,14 @@ class TestSearchFoolingSet:
         a = search_fooling_set(rev, 8, 5, seed=0)
         b = search_fooling_set(rev, 8, 5, seed=0)
         assert a == b
+
+
+    def test_failed_recheck_raises(self, monkeypatch):
+        # The re-check is an explicit raise, so it also runs under python -O.
+        monkeypatch.setattr(bounds, "verify_fooling_set", lambda a, p: False)
+        w = build(WitnessSpec(Family.LEMMA_L1, 3))
+        with pytest.raises(CertificateError):
+            search_fooling_set(w, max_word_len=6, target_size=3)
 
 
 class TestNscExhaustive:

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from sfnfa import bounds
 from sfnfa.cli import main
 from sfnfa.serialize import dump, from_json, to_json
 from sfnfa.witnesses import Family, WitnessSpec, build
@@ -130,6 +132,12 @@ class TestVerifyNsc:
         assert result.exit_code == 0
         assert result.output.strip() == "3"
 
+    def test_nsc_max_states_zero_is_usage_error(self, runner, tmp_path):
+        path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
+        result = runner.invoke(main, ["nsc", path, "--max-states", "0"])
+        assert result.exit_code == 2
+        assert "--max-states" in result.output
+
 
 class TestCertifyTable:
     def test_certify_json(self, runner):
@@ -162,12 +170,38 @@ class TestCertifyTable:
         assert rev and all(r["verdict"] == "GAP" for r in rev)
         assert rev[0]["constructed"] == 5 and rev[0]["lower_bound"] >= 4
 
+    def test_table_json_golden(self, runner):
+        # Captured before the fooling-set search moved to state masks.
+        golden = Path(__file__).parent / "fixtures" / "table_m2-8_n2-8_seed0.json"
+        result = runner.invoke(
+            main, ["table", "--m", "2..8", "--n", "2..8", "--format", "json", "--seed", "0"]
+        )
+        assert result.exit_code == 0
+        assert result.output == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("args", [
+        ["certify", "reversal", "--m", "4"],
+        ["table", "--m", "4..4"],
+    ])
+    def test_failed_certificate_recheck_exit_4(self, runner, monkeypatch, args):
+        monkeypatch.setattr(bounds, "verify_fooling_set", lambda a, p: False)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        assert "error: search produced an unverifiable fooling set" in result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestEnumerate:
     def test_enumerate(self, runner, tmp_path):
         path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
         result = runner.invoke(main, ["enumerate", path, "--max-len", "5"])
         assert result.output.split() == ["b", "baa", "baaaa"]
+
+    def test_negative_max_len_is_usage_error(self, runner, tmp_path):
+        path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
+        result = runner.invoke(main, ["enumerate", path, "--max-len", "-1"])
+        assert result.exit_code == 2
+        assert "--max-len" in result.output
 
 
 class TestRoundTrip:
