@@ -51,6 +51,7 @@ from .errors import (
     NonReturningViolation,
     ParameterOutOfRange,
     ParseError,
+    PreconditionViolation,
     SearchBudgetExceeded,
     SfnfaError,
     SuffixFreeViolation,
@@ -72,7 +73,8 @@ __all__ = [
     "complement_sf", "concat_sf", "intersect_sf", "left_quotient_symbol",
     "reverse_nfa", "star_sf", "union_sf",
     "BudgetExceeded", "NonReturningViolation", "ParameterOutOfRange",
-    "ParseError", "SearchBudgetExceeded", "SfnfaError", "SuffixFreeViolation",
+    "ParseError", "PreconditionViolation", "SearchBudgetExceeded", "SfnfaError",
+    "SuffixFreeViolation",
     "from_json", "load", "to_dot", "to_json",
     "SuffixFreeness", "is_non_returning", "is_suffix_free",
     "Family", "WitnessSpec", "build", "kernel_impl",

@@ -147,6 +147,12 @@ def trim(a: Nfa) -> Nfa:
     Returns the canonical one-state empty automaton when the language is
     empty.  Surviving states keep their relative order.
     """
+    return trim_with_indices(a)[0]
+
+
+def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
+    """``trim`` and the original index of each surviving state, which is
+    empty when the language is empty."""
     fwd: dict[int, set[int]] = {}
     bwd: dict[int, set[int]] = {}
     for src, _sym, dst in a.transitions:
@@ -168,7 +174,7 @@ def trim(a: Nfa) -> Nfa:
     coreach = explore(bwd, set(a.finals))
     useful = sorted(reach & coreach)
     if a.start not in useful:
-        return empty_nfa(a.alphabet)
+        return empty_nfa(a.alphabet), ()
     remap = {old: new for new, old in enumerate(useful)}
     trans = frozenset(
         (remap[s], x, remap[d])
@@ -176,7 +182,7 @@ def trim(a: Nfa) -> Nfa:
         if s in remap and d in remap
     )
     finals = frozenset(remap[q] for q in a.finals if q in remap)
-    return Nfa(len(useful), a.alphabet, remap[a.start], finals, trans)
+    return Nfa(len(useful), a.alphabet, remap[a.start], finals, trans), tuple(useful)
 
 
 def accepts(a: Nfa, w: Word) -> bool:

@@ -6,14 +6,18 @@ from __future__ import annotations
 
 import enum
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import _kernel
 from .automata import (
+    Dfa,
     Nfa,
     accepts,
+    alphabet,
     canonical_dfa,
     enumerate_words,
+    lambda_nfa,
     word_masks,
 )
 from .constructions import (
@@ -31,7 +35,6 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .witnesses import Family, WitnessSpec, build
-from .automata import lambda_nfa, alphabet as make_alphabet
 
 
 @dataclass(frozen=True)
@@ -74,31 +77,31 @@ class FoolingFamily(enum.Enum):
     STAR = "star"
 
 
-def paper_fooling_set(op: FoolingFamily, m: int, n: int | None = None) -> FoolingSet:
+def paper_fooling_set(family: FoolingFamily, m: int, n: int | None = None) -> FoolingSet:
     """The explicit symbolic fooling-set family for each tight operation,
     instantiated at (m, n)."""
     def need(cond, msg):
         if not cond:
             raise ParameterOutOfRange(msg)
 
-    if op is FoolingFamily.LEMMA_L1:
+    if family is FoolingFamily.LEMMA_L1:
         need(m >= 2, "lemma-l1 needs m >= 2")
         pairs = [("", "b")] + [("b" + "a" * i, "a" * (m - 1 - i)) for i in range(m - 1)]
-    elif op is FoolingFamily.LEMMA_L2:
+    elif family is FoolingFamily.LEMMA_L2:
         need(m >= 3, "lemma-l2 needs m >= 3")
         pairs = [("", "bb")]
         pairs += [("b" + "a" * i, "a" * (m - 2 - i) + "b") for i in range(m - 2)]
         pairs += [("b" + "a" * (m - 2) + "b", "")]
-    elif op is FoolingFamily.UNION:
+    elif family is FoolingFamily.UNION:
         need(m >= 2 and n is not None and n >= 2, "union needs m, n >= 2")
         pairs = [("", "b" + "a" * (m - 1))]
         pairs += [("b" + "a" * i, "a" * (m - 1 - i)) for i in range(m - 1)]
         pairs += [("a" + "b" * j, "b" * (n - 1 - j)) for j in range(n - 1)]
-    elif op is FoolingFamily.CATENATION:
+    elif family is FoolingFamily.CATENATION:
         need(m >= 2 and n is not None and n >= 2, "catenation needs m, n >= 2")
         total = m + n - 2
         pairs = [("a" * i, "a" * (total - i)) for i in range(total + 1)]
-    elif op is FoolingFamily.INTERSECTION:
+    elif family is FoolingFamily.INTERSECTION:
         need(m >= 2 and n is not None and n >= 2, "intersection needs m, n >= 2")
         pairs = [("", "c")]
         for i in range(1, m):
@@ -106,7 +109,7 @@ def paper_fooling_set(op: FoolingFamily, m: int, n: int | None = None) -> Foolin
                 pairs.append(
                     ("c" + "a" * i + "b" * j, "a" * (m - 1 - i) + "b" * (n - 1 - j))
                 )
-    elif op is FoolingFamily.STAR:
+    elif family is FoolingFamily.STAR:
         if m == 1:
             pairs = [("", "")]
         else:
@@ -114,7 +117,7 @@ def paper_fooling_set(op: FoolingFamily, m: int, n: int | None = None) -> Foolin
                 ("b" + "a" * i, "a" * (m - 1 - i)) for i in range(m - 1)
             ]
     else:
-        raise ParameterOutOfRange(f"unknown fooling family: {op}")
+        raise ParameterOutOfRange(f"unknown fooling family: {family}")
     return FoolingSet(tuple(pairs))
 
 
@@ -351,9 +354,6 @@ class LowerBoundKind(enum.Enum):
     NONE = "None"
 
 
-_BINARY_OPS = {Operation.UNION, Operation.CATENATION, Operation.INTERSECTION}
-
-
 @dataclass(frozen=True)
 class ComplexityReport:
     operation: Operation
@@ -382,79 +382,90 @@ class ComplexityReport:
         }
 
 
+# The lower-bound method of an operation without a paper fooling family:
+# the seeded fooling-set search over bounded words.
+SEARCH = "search"
+
+
+@dataclass(frozen=True)
+class OperationSpec:
+    """One operation of the paper's summary table.  ``lower`` is a paper
+    fooling family (the operation is then expected TIGHT), ``SEARCH`` or
+    None.  ``construct(*operands, strict)`` looks the construction up among
+    this module's globals at call time, so a rebinding of them is seen."""
+
+    witness: Family
+    construct: Callable[..., Nfa | Dfa]
+    formula: Callable[[int, int | None], int]
+    formula_text: str
+    lower: FoolingFamily | str | None
+    note: str | None = None
+    lambda_at_m1: bool = False  # {λ} stands in below the family's minimum m
+
+    @property
+    def binary(self) -> bool:
+        return self.witness.is_pair
+
+    @property
+    def expects_tight(self) -> bool:
+        return isinstance(self.lower, FoolingFamily)
+
+
+# In the order of the paper's summary table.
+OPERATIONS: dict[Operation, OperationSpec] = {
+    Operation.CATENATION: OperationSpec(
+        Family.CONCAT_PAIR, lambda a, b, strict: concat_sf(a, b, strict=strict),
+        lambda m, n: m + n - 1, "m+n-1", FoolingFamily.CATENATION),
+    Operation.UNION: OperationSpec(
+        Family.UNION_PAIR, lambda a, b, strict: union_sf(a, b, strict=strict),
+        lambda m, n: m + n - 1, "m+n-1", FoolingFamily.UNION),
+    Operation.INTERSECTION: OperationSpec(
+        Family.INTERSECT_PAIR, lambda a, b, strict: intersect_sf(a, b, strict=strict),
+        lambda m, n: m * n - (m + n) + 2, "mn-(m+n)+2", FoolingFamily.INTERSECTION),
+    Operation.STAR: OperationSpec(
+        Family.STAR, lambda a, strict: star_sf(a, strict=strict),
+        lambda m, n: m, "m", FoolingFamily.STAR, lambda_at_m1=True),
+    Operation.REVERSAL: OperationSpec(
+        Family.REVERSAL, lambda a, strict: reverse_nfa(a),
+        lambda m, n: m + 1, "m+1", SEARCH,
+        note="m+1 lower bound paper-proved, not machine-certified"),
+    Operation.COMPLEMENTATION: OperationSpec(
+        Family.LEMMA_L1, lambda a, strict: complement_sf(a, strict=strict),
+        lambda m, n: 2 ** (m - 1) + 1, "2^(m-1)+1", None,
+        note="2^(m-1)-1 lower bound needs an external witness family"),
+}
+
+
 def formula_value(op: Operation, m: int, n: int | None) -> int:
-    if op in (Operation.UNION, Operation.CATENATION):
-        return m + n - 1
-    if op is Operation.INTERSECTION:
-        return m * n - (m + n) + 2
-    if op is Operation.STAR:
-        return m
-    if op is Operation.REVERSAL:
-        return m + 1
-    if op is Operation.COMPLEMENTATION:
-        return 2 ** (m - 1) + 1
-    raise ParameterOutOfRange(f"unknown operation: {op}")
+    return OPERATIONS[op].formula(m, n)
 
 
 def certify(op: Operation, m: int, n: int | None = None, seed: int = 0) -> ComplexityReport:
     """Build witnesses, apply the construction, and certify the result's
-    state complexity against the per-operation formula."""
-    formula = formula_value(op, m, n)
-    if op in _BINARY_OPS:
-        if n is None:
-            raise ParameterOutOfRange(f"{op.value} requires n")
-        family = {
-            Operation.UNION: Family.UNION_PAIR,
-            Operation.CATENATION: Family.CONCAT_PAIR,
-            Operation.INTERSECTION: Family.INTERSECT_PAIR,
-        }[op]
-        left, right = build(WitnessSpec(family, m, n))
-        construct = {
-            Operation.UNION: union_sf,
-            Operation.CATENATION: concat_sf,
-            Operation.INTERSECTION: intersect_sf,
-        }[op]
-        result = construct(left, right)
-        fs = paper_fooling_set(FoolingFamily(op.value), m, n)
-        ok = verify_fooling_set(result, fs)
-        lower = len(fs) if ok else 0
-        return ComplexityReport(
-            op, m, n, result.state_count, lower,
-            LowerBoundKind.FOOLING_SET if ok else LowerBoundKind.NONE,
-            formula, lower == result.state_count == formula,
-            fooling_set=fs if ok else None,
-        )
-    if op is Operation.STAR:
-        witness = lambda_nfa(make_alphabet("ab")) if m == 1 else build(
-            WitnessSpec(Family.STAR, m)
-        )
-        result = star_sf(witness)
-        fs = paper_fooling_set(FoolingFamily.STAR, m)
-        ok = verify_fooling_set(result, fs)
-        lower = len(fs) if ok else 0
-        return ComplexityReport(
-            op, m, None, result.state_count, lower,
-            LowerBoundKind.FOOLING_SET if ok else LowerBoundKind.NONE,
-            formula, lower == result.state_count == formula,
-            fooling_set=fs if ok else None,
-        )
-    if op is Operation.REVERSAL:
-        witness = build(WitnessSpec(Family.REVERSAL, m))
-        result = reverse_nfa(witness)
+    state complexity against the per-operation formula.  Unary operations
+    ignore ``n``."""
+    spec = OPERATIONS[op]
+    if not spec.binary:
+        n = None
+    elif n is None:
+        raise ParameterOutOfRange(f"{op.value} requires n")
+    formula = spec.formula(m, n)
+    if spec.lambda_at_m1 and m == 1:
+        operands = (lambda_nfa(alphabet("ab")),)
+    else:
+        built = build(WitnessSpec(spec.witness, m, n))
+        operands = built if spec.binary else (built,)
+    result = spec.construct(*operands, strict=False)
+    fs = None
+    if isinstance(spec.lower, FoolingFamily):
+        fs = paper_fooling_set(spec.lower, m, n)
+        fs = fs if verify_fooling_set(result, fs) else None
+    elif spec.lower == SEARCH:
         fs = search_fooling_set(result, max_word_len=m + 3, target_size=m, seed=seed)
-        lower = len(fs) if fs else 0
-        return ComplexityReport(
-            op, m, None, result.state_count, lower,
-            LowerBoundKind.FOOLING_SET if fs else LowerBoundKind.NONE,
-            formula, False, fooling_set=fs,
-            note="m+1 lower bound paper-proved, not machine-certified",
-        )
-    if op is Operation.COMPLEMENTATION:
-        witness = build(WitnessSpec(Family.LEMMA_L1, m))
-        result = complement_sf(witness)
-        return ComplexityReport(
-            op, m, None, result.state_count, 0, LowerBoundKind.NONE,
-            formula, False,
-            note="2^(m-1)-1 lower bound needs an external witness family",
-        )
-    raise ParameterOutOfRange(f"unknown operation: {op}")
+    lower = len(fs) if fs else 0
+    return ComplexityReport(
+        op, m, n, result.state_count, lower,
+        LowerBoundKind.FOOLING_SET if fs else LowerBoundKind.NONE,
+        formula, spec.expects_tight and lower == result.state_count == formula,
+        fooling_set=fs, note=spec.note,
+    )

@@ -12,24 +12,16 @@ import sys
 
 import click
 
-from . import bounds, serialize
+from . import serialize
 from .automata import enumerate_words
 from .bounds import (
+    OPERATIONS,
     FoolingSet,
     LowerBoundKind,
     Operation,
     certify,
-    formula_value,
     nsc_exhaustive,
     verify_fooling_set,
-)
-from .constructions import (
-    complement_sf,
-    concat_sf,
-    intersect_sf,
-    reverse_nfa,
-    star_sf,
-    union_sf,
 )
 from .errors import (
     BudgetExceeded,
@@ -37,6 +29,7 @@ from .errors import (
     NonReturningViolation,
     ParameterOutOfRange,
     ParseError,
+    PreconditionViolation,
     SearchBudgetExceeded,
     SuffixFreeViolation,
 )
@@ -59,16 +52,12 @@ def _fail_certificate(exc):
 
 def _fail_precondition(exc):
     if isinstance(exc, NonReturningViolation):
-        click.echo(
-            f"error: non-returning precondition violated "
-            f"(witness transition {exc.transition})",
-            err=True,
-        )
+        msg = f"non-returning precondition violated (witness transition {exc.transition})"
+    elif isinstance(exc, SuffixFreeViolation):
+        msg = f"suffix-free precondition violated (witness pair {exc.witness})"
     else:
-        click.echo(
-            f"error: suffix-free precondition violated (witness pair {exc.witness})",
-            err=True,
-        )
+        msg = str(exc)
+    click.echo(f"error: {msg}", err=True)
     sys.exit(3)
 
 
@@ -106,18 +95,19 @@ def check(automaton, as_json):
     sys.exit(0 if verdict.suffix_free else 1)
 
 
-_OPS = {
-    "union": (union_sf, 2),
-    "concat": (concat_sf, 2),
-    "intersect": (intersect_sf, 2),
-    "star": (star_sf, 1),
-    "reverse": (reverse_nfa, 1),
-    "complement": (complement_sf, 1),
+# The command spellings of `op`.
+_OP_NAMES = {
+    "union": Operation.UNION,
+    "concat": Operation.CATENATION,
+    "intersect": Operation.INTERSECTION,
+    "star": Operation.STAR,
+    "reverse": Operation.REVERSAL,
+    "complement": Operation.COMPLEMENTATION,
 }
 
 
 @main.command()
-@click.argument("name", type=click.Choice(sorted(_OPS)))
+@click.argument("name", type=click.Choice(sorted(_OP_NAMES)))
 @click.argument("inputs", nargs=-1, type=click.Path())
 @click.option("-o", "--output", type=click.Path(), required=True)
 @click.option("--dot", "dot_path", type=click.Path(), default=None,
@@ -125,15 +115,15 @@ _OPS = {
 @click.option("--strict", is_flag=True, help="verify suffix-freeness of inputs")
 def op(name, inputs, output, dot_path, strict):
     """Apply a construction to one or two automaton files."""
-    func, arity = _OPS[name]
+    spec = OPERATIONS[_OP_NAMES[name]]
+    arity = 2 if spec.binary else 1
     if len(inputs) != arity:
         click.echo(f"error: {name} takes {arity} input file(s)", err=True)
         sys.exit(2)
     automata = [_load(p) for p in inputs]
-    kwargs = {} if name == "reverse" else {"strict": strict}
     try:
-        result = func(*automata, **kwargs)
-    except (NonReturningViolation, SuffixFreeViolation) as exc:
+        result = spec.construct(*automata, strict=strict)
+    except PreconditionViolation as exc:
         _fail_precondition(exc)
     serialize.dump(result, output)
     if dot_path:
@@ -172,7 +162,13 @@ def verify_fooling_set_cmd(automaton, pairs_file):
     try:
         with open(pairs_file, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if type(raw) is not list or any(type(pair) is not list for pair in raw):
+            raise TypeError('expected a list of ["x", "w"] pairs')
         pairs = tuple((x, w) for x, w in raw)
+        for text in (t for pair in pairs for t in pair):
+            if type(text) is not str:
+                raise TypeError(f"pair entry {text!r} is not a string")
+            nfa.alphabet.word(text)
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         click.echo(f"error: bad pairs file: {exc}", err=True)
         sys.exit(2)
@@ -226,33 +222,6 @@ def certify_cmd(operation, m, n, as_json, seed):
         )
 
 
-_FORMULAS = {
-    Operation.CATENATION: "m+n-1",
-    Operation.UNION: "m+n-1",
-    Operation.INTERSECTION: "mn-(m+n)+2",
-    Operation.STAR: "m",
-    Operation.REVERSAL: "m+1",
-    Operation.COMPLEMENTATION: "2^(m-1)+1",
-}
-
-# Operation order of the paper's summary table.
-_TABLE_ORDER = [
-    Operation.CATENATION,
-    Operation.UNION,
-    Operation.INTERSECTION,
-    Operation.STAR,
-    Operation.REVERSAL,
-    Operation.COMPLEMENTATION,
-]
-
-_TIGHT_EXPECTED = {
-    Operation.CATENATION,
-    Operation.UNION,
-    Operation.INTERSECTION,
-    Operation.STAR,
-}
-
-
 def _parse_range(text):
     try:
         if ".." in text:
@@ -287,23 +256,20 @@ def table(m_range, n_range, fmt, seed):
     ns = _parse_range(n_range) if n_range else ms
     rows = []
     failed = False
-    for operation in _TABLE_ORDER:
-        binary = operation in bounds._BINARY_OPS
-        min_m = 4 if operation is Operation.REVERSAL else 2
+    for operation, spec in OPERATIONS.items():
+        low = spec.witness.min_m
+        n_values = [n for n in ns if n >= low] if spec.binary else [None]
         for m in ms:
-            if m < min_m:
+            if m < low:
                 continue
-            for n in (ns if binary else [None]):
-                if binary and n < 2:
-                    continue
+            for n in n_values:
                 try:
                     report = certify(operation, m, n, seed=seed)
                 except CertificateError as exc:
                     _fail_certificate(exc)
-                verdict = _verdict(report)
-                if operation in _TIGHT_EXPECTED and not report.tight:
+                if spec.expects_tight and not report.tight:
                     failed = True
-                rows.append((report, verdict))
+                rows.append((report, _verdict(report)))
     if fmt == "json":
         click.echo(json.dumps(
             [dict(report.to_dict(), verdict=v) for report, v in rows]
@@ -314,7 +280,7 @@ def table(m_range, n_range, fmt, seed):
             lines.append(
                 f"{report.operation.value},{report.m},"
                 f"{'' if report.n is None else report.n},"
-                f"{_FORMULAS[report.operation]},{report.formula_value},"
+                f"{OPERATIONS[report.operation].formula_text},{report.formula_value},"
                 f"{report.constructed_size},{report.lower_bound},{v}"
             )
         click.echo("\n".join(lines))
@@ -329,7 +295,7 @@ def table(m_range, n_range, fmt, seed):
             click.echo(
                 f"{report.operation.value:<16}{report.m:>3}"
                 f"{'' if report.n is None else report.n:>3}  "
-                f"{_FORMULAS[report.operation]:<12}"
+                f"{OPERATIONS[report.operation].formula_text:<12}"
                 f"{report.formula_value:>6}{report.constructed_size:>6}"
                 f"{report.lower_bound:>6}  {v}"
             )

@@ -16,29 +16,29 @@ from .automata import (
     determinize_with_subsets,
     product_intersection_with_pairs,
     remove_lambda,
-    trim,
+    trim_with_indices,
 )
-from .errors import NonReturningViolation, SuffixFreeViolation
-from .suffixfree import is_non_returning, is_suffix_free
+from .errors import NonReturningViolation, PreconditionViolation, SuffixFreeViolation
+from .suffixfree import is_suffix_free, start_in_transition
 
 
 def _require_non_returning(a: Nfa, role: str) -> None:
-    for src, sym, dst in a.transitions:
-        if dst == a.start:
-            raise NonReturningViolation(
-                f"{role} automaton has an in-transition to its start state",
-                transition=(src, sym, dst),
-            )
+    transition = start_in_transition(a)
+    if transition is not None:
+        raise NonReturningViolation(
+            f"{role} automaton has an in-transition to its start state",
+            transition=transition,
+        )
 
 
 def _require_lambda_free(a: Nfa, role: str) -> None:
     if a.has_lambda:
-        raise ValueError(f"{role} automaton must be lambda-free")
+        raise PreconditionViolation(f"{role} automaton must be lambda-free")
 
 
 def _require_same_alphabet(a: Nfa, b: Nfa) -> None:
     if a.alphabet.labels != b.alphabet.labels:
-        raise ValueError("both automata must share one alphabet")
+        raise PreconditionViolation("both automata must share one alphabet")
 
 
 def _require_suffix_free(a: Nfa, role: str) -> None:
@@ -150,31 +150,9 @@ def intersect_sf_with_pairs(a: Nfa, b: Nfa, strict: bool = False):
     # (p, s2); assert the theorem rather than pruning them specially.
     for p, q in pairs[1:]:
         assert p != a.start and q != b.start, "mixed-start pair reachable"
-    trimmed = trim(product)
-    if trimmed.state_count == 1 and not trimmed.finals and not trimmed.transitions:
-        kept = (None,)  # canonical empty automaton carries no origin pair
-    else:
-        fwd = {}
-        bwd = {}
-        for src, _sym, dst in product.transitions:
-            fwd.setdefault(src, set()).add(dst)
-            bwd.setdefault(dst, set()).add(src)
-
-        def explore(adj, roots):
-            seen = set(roots)
-            stack = list(roots)
-            while stack:
-                s = stack.pop()
-                for r in adj.get(s, ()):
-                    if r not in seen:
-                        seen.add(r)
-                        stack.append(r)
-            return seen
-
-        useful = sorted(
-            explore(fwd, {product.start}) & explore(bwd, set(product.finals))
-        )
-        kept = tuple(pairs[i] for i in useful)
+    trimmed, useful = trim_with_indices(product)
+    # The canonical empty automaton carries no origin pair.
+    kept = tuple(pairs[i] for i in useful) or (None,)
     bound = a.state_count * b.state_count - (a.state_count + b.state_count) + 2
     assert trimmed.state_count <= max(bound, 1)
     return trimmed, kept

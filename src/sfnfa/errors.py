@@ -9,7 +9,11 @@ class ParseError(SfnfaError):
     """A JSON automaton document does not match the canonical schema."""
 
 
-class NonReturningViolation(SfnfaError):
+class PreconditionViolation(SfnfaError, ValueError):
+    """An input automaton does not meet a construction's precondition."""
+
+
+class NonReturningViolation(PreconditionViolation):
     """An operation required a non-returning automaton but the start state
     has in-transitions."""
 
@@ -18,7 +22,7 @@ class NonReturningViolation(SfnfaError):
         self.transition = transition
 
 
-class SuffixFreeViolation(SfnfaError):
+class SuffixFreeViolation(PreconditionViolation):
     """Strict mode: the input language is not suffix-free."""
 
     def __init__(self, message, witness=None):

@@ -53,15 +53,24 @@ def from_document(doc) -> Nfa:
         alpha = Alphabet(tuple(doc["alphabet"]))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad alphabet: {exc}") from exc
-    states = doc["states"]
-    if not isinstance(states, int) or states <= 0:
+    # type(v) is int rejects bools and floats, which isinstance would not.
+    states, start, finals = doc["states"], doc["start"], doc["finals"]
+    if type(states) is not int or states <= 0:
         raise ParseError("states must be a positive integer")
+    if type(start) is not int:
+        raise ParseError("start must be an integer")
+    if type(finals) is not list or any(type(q) is not int for q in finals):
+        raise ParseError("finals must be a list of integers")
+    if type(doc["transitions"]) is not list:
+        raise ParseError("transitions must be a list")
     trans = set()
     for entry in doc["transitions"]:
         try:
             src, label, dst = entry
         except (TypeError, ValueError):
             raise ParseError(f"bad transition entry: {entry!r}") from None
+        if type(src) is not int or type(dst) is not int:
+            raise ParseError(f"bad transition entry: {entry!r}")
         if label == LAMBDA_LABEL:
             sym = None
         else:
@@ -71,7 +80,7 @@ def from_document(doc) -> Nfa:
                 raise ParseError(str(exc)) from exc
         trans.add((src, sym, dst))
     try:
-        return Nfa(states, alpha, doc["start"], frozenset(doc["finals"]), frozenset(trans))
+        return Nfa(states, alpha, start, frozenset(finals), frozenset(trans))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed automaton: {exc}") from exc
 

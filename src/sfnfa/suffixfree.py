@@ -17,6 +17,7 @@ from .automata import (
     is_empty,
     product_intersection,
 )
+from .errors import PreconditionViolation
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,16 @@ class SuffixFreeness:
     witness: tuple[Word, Word] | None = None
 
 
+def start_in_transition(a: Nfa) -> tuple[int, int | None, int] | None:
+    """A transition into the start state, or None if there is none."""
+    return next((t for t in a.transitions if t[2] == a.start), None)
+
+
 def is_non_returning(a: Nfa) -> bool:
     """True iff no transition targets the start state."""
     if a.has_lambda:
-        raise ValueError("is_non_returning requires a lambda-free NFA")
-    return all(dst != a.start for _src, _sym, dst in a.transitions)
+        raise PreconditionViolation("is_non_returning requires a lambda-free NFA")
+    return start_in_transition(a) is None
 
 
 def _proper_suffix_language(a: Nfa) -> Nfa:
@@ -64,7 +70,7 @@ def is_suffix_free(a: Nfa) -> SuffixFreeness:
     length-lexicographically least witness (least longer word first, then
     least accepted proper suffix of it)."""
     if a.has_lambda:
-        raise ValueError("is_suffix_free requires a lambda-free NFA")
+        raise PreconditionViolation("is_suffix_free requires a lambda-free NFA")
     overlap = product_intersection(a, _proper_suffix_language(a))
     if is_empty(overlap):
         return SuffixFreeness(True)

@@ -24,6 +24,15 @@ class Family(enum.Enum):
     REVERSAL = "reversal"
     COMPLEMENT_PREFIXED = "complement-prefixed"
 
+    @property
+    def min_m(self) -> int:
+        """Least admissible m, and n for a pair family."""
+        return _MIN_M[self]
+
+    @property
+    def is_pair(self) -> bool:
+        return self in _PAIR_FAMILIES
+
 
 # Binary families need m >= 2; the two-symbol cycle family needs m >= 3;
 # the reversal family needs the d + cycle + b*/c* layout, so m >= 4.
@@ -49,17 +58,14 @@ class WitnessSpec:
     inner: Nfa | None = None  # COMPLEMENT_PREFIXED only: custom binary core
 
     def __post_init__(self):
-        if self.m < _MIN_M[self.family]:
-            raise ParameterOutOfRange(
-                f"{self.family.value} requires m >= {_MIN_M[self.family]}, got {self.m}"
-            )
-        if self.family in _PAIR_FAMILIES:
-            if self.n is None or self.n < _MIN_M[self.family]:
-                raise ParameterOutOfRange(
-                    f"{self.family.value} requires n >= {_MIN_M[self.family]}"
-                )
+        f = self.family
+        if self.m < f.min_m:
+            raise ParameterOutOfRange(f"{f.value} requires m >= {f.min_m}, got {self.m}")
+        if f.is_pair:
+            if self.n is None or self.n < f.min_m:
+                raise ParameterOutOfRange(f"{f.value} requires n >= {f.min_m}")
         elif self.n is not None:
-            raise ParameterOutOfRange(f"{self.family.value} takes no n parameter")
+            raise ParameterOutOfRange(f"{f.value} takes no n parameter")
 
 
 def _symbol_then_cycle(m: int, alpha: Alphabet, first: int, loop: int) -> Nfa:

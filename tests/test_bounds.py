@@ -206,3 +206,20 @@ class TestCertify:
             assert r.lower_bound <= r.constructed_size
             if r.fooling_set is not None:
                 assert len(r.fooling_set) == r.lower_bound
+
+    def test_binary_without_n_raises_before_the_formula(self):
+        for op in (Operation.UNION, Operation.CATENATION, Operation.INTERSECTION):
+            with pytest.raises(ParameterOutOfRange, match=f"{op.value} requires n"):
+                certify(op, 3)
+
+    def test_unary_ignores_n(self):
+        assert certify(Operation.STAR, 3, 7) == certify(Operation.STAR, 3)
+        assert certify(Operation.STAR, 1, 2).n is None
+
+    def test_registry_in_summary_table_order(self):
+        assert list(bounds.OPERATIONS) == [
+            Operation.CATENATION, Operation.UNION, Operation.INTERSECTION,
+            Operation.STAR, Operation.REVERSAL, Operation.COMPLEMENTATION,
+        ]
+        tight = [op for op, spec in bounds.OPERATIONS.items() if spec.expects_tight]
+        assert tight == list(bounds.OPERATIONS)[:4]

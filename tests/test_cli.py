@@ -76,13 +76,27 @@ class TestOp:
         assert json.loads(out.read_text())["states"] <= 9
 
     def test_precondition_violation_exit_3_no_partial_output(self, runner, tmp_path):
-        path = tmp_path / "astar.json"
-        dump(make_nfa(1, "ab", 0, [0], [(0, "a", 0)]), path)
+        automata = {
+            "astar": make_nfa(1, "ab", 0, [0], [(0, "a", 0)]),
+            "ab": make_nfa(2, "ab", 0, [1], [(0, "a", 1)]),
+            "abc": make_nfa(2, "abc", 0, [1], [(0, "c", 1)]),
+            "lam": make_nfa(2, "ab", 0, [1], [(0, None, 1)]),
+        }
+        for name, nfa in automata.items():
+            dump(nfa, tmp_path / f"{name}.json")
+        cases = [
+            (["star", "astar"], "non-returning"),
+            (["union", "ab", "abc"], "share one alphabet"),
+            (["star", "lam"], "lambda-free"),
+        ]
         out = tmp_path / "out.json"
-        result = runner.invoke(main, ["op", "star", str(path), "-o", str(out)])
-        assert result.exit_code == 3
-        assert "non-returning" in result.output
-        assert not out.exists()
+        for (name, *inputs), message in cases:
+            paths = [str(tmp_path / f"{i}.json") for i in inputs]
+            result = runner.invoke(main, ["op", name, *paths, "-o", str(out)])
+            assert result.exit_code == 3, name
+            assert "error: " in result.output and message in result.output
+            assert isinstance(result.exception, SystemExit)
+            assert not out.exists()
 
     def test_dot_export(self, runner, tmp_path):
         path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 2))
@@ -120,6 +134,15 @@ class TestVerifyNsc:
         assert result.exit_code == 0
         assert "certified lower bound: 3" in result.output
 
+    @pytest.mark.parametrize("pairs", [[["z", "b"]], [[1, 2]], ["ab"], {"a": "b"}])
+    def test_bad_pairs_file_exit_2(self, runner, tmp_path, pairs):
+        path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
+        pairs_path = tmp_path / "pairs.json"
+        pairs_path.write_text(json.dumps(pairs))
+        result = runner.invoke(main, ["verify-fooling-set", path, str(pairs_path)])
+        assert result.exit_code == 2
+        assert "error: bad pairs file: " in result.output
+
     def test_bad_fooling_set(self, runner, tmp_path):
         path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
         pairs = tmp_path / "pairs.json"
@@ -147,6 +170,13 @@ class TestCertifyTable:
         assert report["tight"] is True
         assert report["constructed"] == 5
 
+    @pytest.mark.parametrize("op", ["union", "catenation", "intersection"])
+    def test_certify_binary_without_n_is_usage_error(self, runner, op):
+        result = runner.invoke(main, ["certify", op, "--m", "3"])
+        assert result.exit_code == 2
+        assert f"error: {op} requires n" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_table_text_tight_rows(self, runner):
         result = runner.invoke(main, ["table", "--m", "2..3", "--n", "2..3"])
         assert result.exit_code == 0
@@ -170,11 +200,13 @@ class TestCertifyTable:
         assert rev and all(r["verdict"] == "GAP" for r in rev)
         assert rev[0]["constructed"] == 5 and rev[0]["lower_bound"] >= 4
 
-    def test_table_json_golden(self, runner):
-        # Captured before the fooling-set search moved to state masks.
-        golden = Path(__file__).parent / "fixtures" / "table_m2-8_n2-8_seed0.json"
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_table_golden(self, runner, fmt):
+        # json was captured before the fooling-set search moved to state
+        # masks, csv and text before the operation registry.
+        golden = Path(__file__).parent / "fixtures" / f"table_m2-8_n2-8_seed0.{fmt}"
         result = runner.invoke(
-            main, ["table", "--m", "2..8", "--n", "2..8", "--format", "json", "--seed", "0"]
+            main, ["table", "--m", "2..8", "--n", "2..8", "--format", fmt, "--seed", "0"]
         )
         assert result.exit_code == 0
         assert result.output == golden.read_text(encoding="utf-8")

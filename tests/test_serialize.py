@@ -62,6 +62,30 @@ def test_parse_errors(text):
         from_json(text)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("transitions", 5),
+        ("transitions", {"0": 1}),
+        ("states", True),
+        ("states", 1.0),
+        ("start", False),
+        ("start", 0.0),
+        ("finals", [0.0]),
+        ("finals", [False]),
+        ("finals", 0),
+        ("transitions", [[0.0, "a", 0]]),
+        ("transitions", [[0, "a", False]]),
+    ],
+)
+def test_schema_rejects_non_int_values(key, value):
+    doc = {"alphabet": ["a"], "states": 1, "start": 0, "finals": [0],
+           "transitions": [[0, "a", 0]]}
+    doc[key] = value
+    with pytest.raises(ParseError):
+        from_json(json.dumps(doc))
+
+
 def test_dot_export_shape():
     a = build(WitnessSpec(Family.LEMMA_L1, 3))
     dot = to_dot(a)
