@@ -311,8 +311,8 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     """Least k <= max_states with a k-state lambda-free NFA equivalent to
     L(a), by exhaustive enumeration with start fixed at state 0.
 
-    Candidate tables are bulk-filtered against all words of length <= 2k
-    (compiled kernel when available), then survivors get a full
+    Candidate tables are filtered against all words of length <= 2k by the
+    depth-first table search, then survivors get a full
     determinize-and-minimize equivalence check.
     """
     sigma = a.alphabet.size
@@ -426,7 +426,7 @@ OPERATIONS: dict[Operation, OperationSpec] = {
         Family.STAR, lambda a, strict: star_sf(a, strict=strict),
         lambda m, n: m, "m", FoolingFamily.STAR, lambda_at_m1=True),
     Operation.REVERSAL: OperationSpec(
-        Family.REVERSAL, lambda a, strict: reverse_nfa(a),
+        Family.REVERSAL, lambda a, strict: reverse_nfa(a, strict=strict),
         lambda m, n: m + 1, "m+1", SEARCH,
         note="m+1 lower bound paper-proved, not machine-certified"),
     Operation.COMPLEMENTATION: OperationSpec(

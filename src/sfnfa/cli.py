@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 negative verdict (``check`` on a language that is
 not suffix-free), 2 parse error, 3 precondition violation, 4 unexpected
-certification failure.  Output files are written atomically.
+certification failure (also a failed theorem check inside ``op`` or
+``check``).  Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ def check(automaton, as_json):
     from .automata import remove_lambda
 
     nfa = remove_lambda(_load(automaton))
-    verdict = is_suffix_free(nfa)
+    try:
+        verdict = is_suffix_free(nfa)
+    except CertificateError as exc:
+        _fail_certificate(exc)
     non_ret = is_non_returning(nfa)
     if as_json:
         witness = None
@@ -125,6 +129,8 @@ def op(name, inputs, output, dot_path, strict):
         result = spec.construct(*automata, strict=strict)
     except PreconditionViolation as exc:
         _fail_precondition(exc)
+    except CertificateError as exc:
+        _fail_certificate(exc)
     serialize.dump(result, output)
     if dot_path:
         serialize.write_text_atomic(dot_path, serialize.to_dot(result))

@@ -18,7 +18,12 @@ from .automata import (
     remove_lambda,
     trim_with_indices,
 )
-from .errors import NonReturningViolation, PreconditionViolation, SuffixFreeViolation
+from .errors import (
+    CertificateError,
+    NonReturningViolation,
+    PreconditionViolation,
+    SuffixFreeViolation,
+)
 from .suffixfree import is_suffix_free, start_in_transition
 
 
@@ -147,14 +152,17 @@ def intersect_sf_with_pairs(a: Nfa, b: Nfa, strict: bool = False):
 
     product, pairs = product_intersection_with_pairs(a, b)
     # Reachability alone already excludes the mixed-start pairs (s1, q) and
-    # (p, s2); assert the theorem rather than pruning them specially.
+    # (p, s2); check the theorem rather than pruning them specially.
     for p, q in pairs[1:]:
-        assert p != a.start and q != b.start, "mixed-start pair reachable"
+        if p == a.start or q == b.start:
+            raise CertificateError(f"mixed-start pair {(p, q)} is reachable in the product")
     trimmed, useful = trim_with_indices(product)
     # The canonical empty automaton carries no origin pair.
     kept = tuple(pairs[i] for i in useful) or (None,)
-    bound = a.state_count * b.state_count - (a.state_count + b.state_count) + 2
-    assert trimmed.state_count <= max(bound, 1)
+    bound = max(a.state_count * b.state_count - (a.state_count + b.state_count) + 2, 1)
+    if trimmed.state_count > bound:
+        raise CertificateError(
+            f"intersection has {trimmed.state_count} states, above its bound {bound}")
     return trimmed, kept
 
 
@@ -178,11 +186,13 @@ def star_sf(a: Nfa, strict: bool = False) -> Nfa:
     return Nfa(a.state_count, a.alphabet, a.start, finals, frozenset(trans))
 
 
-def reverse_nfa(a: Nfa) -> Nfa:
+def reverse_nfa(a: Nfa, strict: bool = False) -> Nfa:
     """Reversal on m+1 states: flip every transition, make the old start
     final, and reach the old finals from a fresh start via lambda edges
     that are immediately removed again."""
     _require_lambda_free(a, "input")
+    if strict:
+        _require_suffix_free(a, "input")
     new_start = a.state_count
     trans = {(dst, sym, src) for src, sym, dst in a.transitions}
     trans |= {(new_start, LAMBDA, f) for f in a.finals}
@@ -209,8 +219,13 @@ def complement_sf(a: Nfa, strict: bool = False) -> Dfa:
         _require_suffix_free(a, "input")
     dfa, subsets = determinize_with_subsets(a)
     for sub in subsets:
-        assert not (a.start in sub and len(sub) > 1), "non-returning subset bound broken"
-    assert dfa.state_count <= 2 ** (a.state_count - 1) + 1
+        if a.start in sub and len(sub) > 1:
+            raise CertificateError(
+                f"subset {sorted(sub)} holds the start of a non-returning automaton "
+                "and another state")
+    bound = 2 ** (a.state_count - 1) + 1
+    if dfa.state_count > bound:
+        raise CertificateError(f"complement has {dfa.state_count} states, above its bound {bound}")
     finals = frozenset(q for q in range(dfa.state_count) if q not in dfa.finals)
     return Dfa(dfa.state_count, dfa.alphabet, dfa.start, finals, dfa.table, sink=dfa.sink)
 

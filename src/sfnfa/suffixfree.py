@@ -17,7 +17,7 @@ from .automata import (
     is_empty,
     product_intersection,
 )
-from .errors import PreconditionViolation
+from .errors import CertificateError, PreconditionViolation
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,11 @@ def is_suffix_free(a: Nfa) -> SuffixFreeness:
         if words:
             longer = words[0]
             break
-    assert longer is not None
+    if longer is None:
+        raise CertificateError("the suffix overlap is non-empty but accepts no word")
     for i in range(len(longer), 0, -1):  # shortest proper suffix first
         shorter = longer[i:]
         if accepts(a, shorter):
             return SuffixFreeness(False, (shorter, longer))
-    raise AssertionError("overlap member without accepted proper suffix")
+    raise CertificateError(
+        f"overlap word {a.alphabet.text(longer)!r} has no accepted proper suffix")

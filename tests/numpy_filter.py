@@ -1,19 +1,18 @@
-"""Pure fallback for the candidate-NFA filter, vectorized with numpy.
+"""Test oracle for ``sfnfa._kernel.filter_tables``: the brute-force filter,
+vectorized with numpy.
 
-The search enumerates every transition table of a k-state NFA (start fixed
-at state 0) over s symbols.  A table is encoded as an integer of k-bit
+It enumerates every transition table of a k-state NFA (start fixed at
+state 0) over s symbols.  A table is encoded as an integer of k-bit
 groups: cell ``j = state*s + symbol`` holds the successor set of that
-(state, symbol) as a bitmask.  All tables are
-filtered simultaneously against a labeled word trie: a table survives when
-some choice of final states reproduces the sample labels, and the maximal
-consistent final mask is reported alongside it.
+(state, symbol) as a bitmask.  All tables are filtered simultaneously
+against a labeled word trie: a table survives when some choice of final
+states reproduces the sample labels, and the maximal consistent final mask
+is reported alongside it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-IMPL = "pure"
 
 
 def filter_tables(num_states, num_symbols, parents, symbols, accepts, cap=200000):

@@ -42,6 +42,17 @@ class TestCheck:
         path = write_witness(tmp_path, WitnessSpec(Family.REVERSAL, 4))
         assert runner.invoke(main, ["check", path]).exit_code == 0
 
+    def test_failed_witness_check_exit_4(self, runner, tmp_path, monkeypatch):
+        from sfnfa import suffixfree
+
+        monkeypatch.setattr(suffixfree, "accepts", lambda a, w: False)
+        path = tmp_path / "astar.json"
+        dump(make_nfa(1, "ab", 0, [0], [(0, "a", 0)]), path)
+        result = runner.invoke(main, ["check", str(path)])
+        assert result.exit_code == 4
+        assert "error: " in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_parse_error_exit_2(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -97,6 +108,37 @@ class TestOp:
             assert "error: " in result.output and message in result.output
             assert isinstance(result.exception, SystemExit)
             assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["reverse", "star"])
+    def test_strict_rejects_non_suffix_free(self, runner, tmp_path, name):
+        # a(ba)*: returning and not suffix-free.
+        path = tmp_path / "in.json"
+        dump(make_nfa(2, "ab", 0, [1], [(0, "a", 1), (1, "b", 0)]), path)
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["op", name, str(path), "-o", str(out), "--strict"])
+        assert result.exit_code == 3
+        assert "error: " in result.output
+        assert not out.exists()
+
+    def test_reverse_strict_accepts_suffix_free(self, runner, tmp_path):
+        path = write_witness(tmp_path, WitnessSpec(Family.REVERSAL, 4))
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["op", "reverse", str(path), "-o", str(out), "--strict"])
+        assert result.exit_code == 0
+        assert json.loads(out.read_text())["states"] == 5
+
+    def test_failed_construction_check_exit_4(self, runner, tmp_path, monkeypatch):
+        from sfnfa import constructions
+
+        monkeypatch.setattr(constructions, "determinize_with_subsets",
+                            lambda a: (None, (frozenset({a.start, 1}),)))
+        path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["op", "complement", str(path), "-o", str(out)])
+        assert result.exit_code == 4
+        assert "error: " in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
 
     def test_dot_export(self, runner, tmp_path):
         path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 2))

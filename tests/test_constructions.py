@@ -1,7 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from sfnfa import constructions, suffixfree
 from sfnfa.automata import (
     LAMBDA,
     Nfa,
@@ -27,7 +29,7 @@ from sfnfa.constructions import (
     star_sf,
     union_sf,
 )
-from sfnfa.errors import NonReturningViolation, SuffixFreeViolation
+from sfnfa.errors import CertificateError, NonReturningViolation, SuffixFreeViolation
 from sfnfa.suffixfree import is_suffix_free
 from sfnfa.witnesses import Family, WitnessSpec, build
 
@@ -194,6 +196,14 @@ class TestReverse:
             w = build(spec)
             assert equivalent(reverse_nfa(reverse_nfa(w)), w)
 
+    def test_strict_mode(self):
+        # a(ba)*: returning and not suffix-free; reversal needs neither.
+        bad = make_nfa(2, "ab", 0, [1], [(0, "a", 1), (1, "b", 0)])
+        reverse_nfa(bad)
+        with pytest.raises(SuffixFreeViolation):
+            reverse_nfa(bad, strict=True)
+        assert reverse_nfa(build(WitnessSpec(Family.REVERSAL, 4)), strict=True).state_count == 5
+
 
 class TestComplement:
     def test_lemma_l1_m3(self):
@@ -313,3 +323,56 @@ class TestSetTheoreticAgreement:
         assert is_suffix_free(concat_sf(left, right)).suffix_free
         left, right = build(WitnessSpec(Family.INTERSECT_PAIR, 3, 3))
         assert is_suffix_free(intersect_sf(left, right)).suffix_free
+
+
+class TestCertificateChecks:
+    """The theorem checks inside the constructions raise CertificateError,
+    also under ``python -O``; each is fed bad data through a helper."""
+
+    def test_mixed_start_pair(self, monkeypatch):
+        a, b = build(WitnessSpec(Family.INTERSECT_PAIR, 3, 3))
+        real = constructions.product_intersection_with_pairs
+
+        def with_mixed_pair(x, y):
+            product, pairs = real(x, y)
+            return product, pairs[:1] + ((x.start, 1),) + pairs[2:]
+
+        monkeypatch.setattr(constructions, "product_intersection_with_pairs", with_mixed_pair)
+        with pytest.raises(CertificateError, match="mixed-start pair"):
+            intersect_sf(a, b)
+
+    def test_intersection_bound(self, monkeypatch):
+        a, b = build(WitnessSpec(Family.INTERSECT_PAIR, 3, 3))
+        too_big = Nfa(6, a.alphabet, 0, frozenset({5}), frozenset())
+        monkeypatch.setattr(constructions, "trim_with_indices", lambda p: (too_big, (0,)))
+        with pytest.raises(CertificateError, match="above its bound 5"):
+            intersect_sf(a, b)
+
+    def test_non_returning_subset(self, monkeypatch):
+        w = build(WitnessSpec(Family.LEMMA_L1, 3))
+        real = constructions.determinize_with_subsets
+
+        def with_start_subset(a):
+            dfa, subsets = real(a)
+            return dfa, subsets + (frozenset({a.start, 1}),)
+
+        monkeypatch.setattr(constructions, "determinize_with_subsets", with_start_subset)
+        with pytest.raises(CertificateError, match="holds the start"):
+            complement_sf(w)
+
+    def test_complement_bound(self, monkeypatch):
+        w = build(WitnessSpec(Family.LEMMA_L1, 3))
+        monkeypatch.setattr(constructions, "determinize_with_subsets",
+                            lambda a: (SimpleNamespace(state_count=6), ()))
+        with pytest.raises(CertificateError, match="above its bound 5"):
+            complement_sf(w)
+
+    def test_suffix_overlap_without_word(self, monkeypatch):
+        monkeypatch.setattr(suffixfree, "enumerate_words", lambda a, bound: [])
+        with pytest.raises(CertificateError, match="accepts no word"):
+            is_suffix_free(make_nfa(1, "ab", 0, [0], [(0, "a", 0)]))
+
+    def test_suffix_witness_without_accepted_suffix(self, monkeypatch):
+        monkeypatch.setattr(suffixfree, "accepts", lambda a, w: False)
+        with pytest.raises(CertificateError, match="no accepted proper suffix"):
+            is_suffix_free(make_nfa(1, "ab", 0, [0], [(0, "a", 0)]))

@@ -1,13 +1,15 @@
-"""Parity between the compiled kernel and the pure fallback."""
+"""The depth-first table search against the brute-force numpy filter,
+survivor list for survivor list, order included."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sfnfa._kernel import _pure
-from sfnfa.automata import accepts
+from sfnfa._kernel import filter_tables
+from sfnfa.automata import accepts, alphabet, empty_nfa, lambda_nfa, make_nfa
 from sfnfa.bounds import _sample_trie
 from sfnfa.witnesses import Family, WitnessSpec, build
 
-speed = pytest.importorskip("sfnfa._kernel._speed")
+import numpy_filter
 
 
 def trie_for(nfa, k):
@@ -16,29 +18,80 @@ def trie_for(nfa, k):
     return parents, symbols, labels
 
 
-@pytest.mark.parametrize("m,k", [(2, 1), (2, 2), (3, 2), (3, 3)])
-def test_filter_tables_parity_lemma_l1(m, k):
-    nfa = build(WitnessSpec(Family.LEMMA_L1, m))
-    parents, symbols, labels = trie_for(nfa, k)
-    args = (k, nfa.alphabet.size, parents, symbols, labels)
-    assert speed.filter_tables(*args) == _pure.filter_tables(*args)
+def assert_matches_oracle(k, nfa):
+    args = (k, nfa.alphabet.size) + trie_for(nfa, k)
+    survivors = filter_tables(*args)
+    assert survivors == numpy_filter.filter_tables(*args)
+    return survivors
 
 
-def test_filter_tables_parity_empty_word_language():
-    # lambda in L exercises the root-label handling of both kernels.
-    from sfnfa.automata import alphabet, lambda_nfa
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lemma_l1(m, k):
+    assert_matches_oracle(k, build(WitnessSpec(Family.LEMMA_L1, m)))
 
-    nfa = lambda_nfa(alphabet("ab"))
-    parents, symbols, labels = trie_for(nfa, 2)
-    args = (2, 2, parents, symbols, labels)
-    assert speed.filter_tables(*args) == _pure.filter_tables(*args)
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_lemma_l2_k3(m):
+    assert_matches_oracle(3, build(WitnessSpec(Family.LEMMA_L2, m)))
+
+
+def test_empty_word_language():
+    # The root is accepted, so it starts out in the accepted set.
+    assert assert_matches_oracle(2, lambda_nfa(alphabet("ab")))
+
+
+def test_empty_language_keeps_every_table():
+    # Nothing is accepted, nothing is pruned: once the forbidden mask is
+    # full, every remaining cell is expanded at the leaves.
+    survivors = assert_matches_oracle(2, empty_nfa(alphabet("ab")))
+    assert len(survivors) == 4 ** 4
+    assert all(not finals & 1 for _, finals in survivors)
+
+
+def test_cap_keeps_the_least_encodings():
+    args = (2, 2) + trie_for(empty_nfa(alphabet("ab")), 2)
+    assert filter_tables(*args, cap=10) == numpy_filter.filter_tables(*args, cap=10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_letter_alphabet(k):
+    # a (aa)*: the odd lengths.
+    odd = make_nfa(3, "a", 0, {1}, [(0, "a", 1), (1, "a", 2), (2, "a", 1)])
+    assert_matches_oracle(k, odd)
+
+
+@pytest.mark.parametrize("letters", ["a", "b", "ab"])
+@pytest.mark.parametrize("length", [5, 6])
+def test_late_accepted_words(letters, length):
+    # Fixed-length languages: every accepted node comes late in BFS order,
+    # so most branches end when the forbidden mask fills up before one.
+    chain = make_nfa(length + 1, "ab", 0, {length},
+                     [(i, x, i + 1) for i in range(length) for x in letters])
+    assert_matches_oracle(3, chain)
+
+
+@st.composite
+def labelled_tries(draw):
+    k = draw(st.integers(1, 2))
+    sigma = draw(st.integers(2, 3))
+    depth = draw(st.integers(0, 2 * k))
+    parents, symbols, _ = _sample_trie(sigma, depth)
+    labels = draw(st.lists(st.booleans(), min_size=len(parents), max_size=len(parents)))
+    return k, sigma, parents, symbols, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_tries())
+def test_random_trie_labels(args):
+    assert filter_tables(*args) == numpy_filter.filter_tables(*args)
 
 
 def test_survivors_reproduce_sample():
     nfa = build(WitnessSpec(Family.LEMMA_L1, 2))
     k = 2
     parents, symbols, labels = trie_for(nfa, k)
-    survivors = _pure.filter_tables(k, 2, parents, symbols, labels)
+    survivors = filter_tables(k, 2, parents, symbols, labels)
     assert survivors
     # Re-simulate each survivor on the trie and compare labels.
     for cells, fmask in survivors[:50]:
@@ -46,9 +99,9 @@ def test_survivors_reproduce_sample():
         for i in range(1, len(parents)):
             pm = reach[parents[i]]
             nm = 0
-            for st in range(k):
-                if pm >> st & 1:
-                    nm |= cells[st * 2 + symbols[i]]
+            for st_ in range(k):
+                if pm >> st_ & 1:
+                    nm |= cells[st_ * 2 + symbols[i]]
             reach.append(nm)
         for i, want in enumerate(labels):
             assert bool(reach[i] & fmask) == want
