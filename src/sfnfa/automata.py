@@ -1,15 +1,14 @@
 """Core automata representations and algorithms.
 
-States are dense integer indices ``0 .. state_count-1``.  An ``Nfa`` stores
-its transition relation as a frozen set of ``(src, symbol, dst)`` triples
-where ``symbol`` is an alphabet index or ``None`` for a lambda edge.  All
-values are immutable after construction; every operation below is a pure
-function, so automata can be shared freely between workers.
+States are dense integer indices ``0 .. state_count-1``; a set of states is
+an int bitmask with bit q for state q.  An ``Nfa`` is a frozen set of
+``(src, symbol, dst)`` triples (``symbol`` an alphabet index, or ``None`` for
+a lambda edge), indexed as successor masks.  All values are immutable, so
+automata can be shared freely between workers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -55,38 +54,66 @@ def alphabet(labels: str) -> Alphabet:
 
 @dataclass(frozen=True)
 class Nfa:
-    """A nondeterministic finite automaton, possibly with lambda edges."""
+    """A nondeterministic finite automaton, possibly with lambda edges.
+    Derived, not compared: ``succ[q][x]`` and ``lam[q]`` are the successor
+    masks of state q on symbol x and on lambda, ``final_mask`` the finals."""
 
     state_count: int
     alphabet: Alphabet
     start: int
     finals: frozenset[int]
     transitions: frozenset[tuple[int, int | None, int]]
-    _delta: dict = field(init=False, repr=False, compare=False, default=None)
+    succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    lam: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    final_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.state_count <= 0:
+        n, k = self.state_count, self.alphabet.size
+        if n <= 0:
             raise ValueError("state_count must be positive")
-        if not 0 <= self.start < self.state_count:
+        if not 0 <= self.start < n:
             raise ValueError("start state out of range")
+        final_mask = 0
         for q in self.finals:
-            if not 0 <= q < self.state_count:
+            if not 0 <= q < n:
                 raise ValueError("final state out of range")
-        delta: dict[tuple[int, int | None], set[int]] = {}
+            final_mask |= 1 << q
+        succ = [[0] * k for _ in range(n)]
+        lam = [0] * n
         for src, sym, dst in self.transitions:
-            if not (0 <= src < self.state_count and 0 <= dst < self.state_count):
+            if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError("transition endpoint out of range")
-            if sym is not None and not 0 <= sym < self.alphabet.size:
+            if sym is None:
+                lam[src] |= 1 << dst
+            elif 0 <= sym < k:
+                succ[src][sym] |= 1 << dst
+            else:
                 raise ValueError("transition symbol out of range")
-            delta.setdefault((src, sym), set()).add(dst)
-        object.__setattr__(self, "_delta", {k: frozenset(v) for k, v in delta.items()})
-
-    def delta(self, state: int, sym: int | None) -> frozenset[int]:
-        return self._delta.get((state, sym), frozenset())
+        object.__setattr__(self, "succ", tuple(map(tuple, succ)))
+        object.__setattr__(self, "lam", tuple(lam))
+        object.__setattr__(self, "final_mask", final_mask)
 
     @property
     def has_lambda(self) -> bool:
-        return any(sym is None for _, sym, _ in self.transitions)
+        return any(self.lam)
+
+
+def bits(mask: int):
+    """The states of a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def step(rows, mask: int, x: int) -> int:
+    """The union of ``rows[q][x]`` over the states q of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1][x]
+        mask ^= low
+    return out
 
 
 def make_nfa(states, labels, start, finals, edges) -> Nfa:
@@ -108,17 +135,17 @@ def lambda_nfa(alpha: Alphabet) -> Nfa:
     return Nfa(1, alpha, 0, frozenset({0}), frozenset())
 
 
-def _closure(a: Nfa, states) -> frozenset[int]:
-    """Lambda-closure of a set of states."""
-    seen = set(states)
-    stack = list(states)
-    while stack:
-        q = stack.pop()
-        for r in a.delta(q, LAMBDA):
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return frozenset(seen)
+def _reach(adj, mask: int) -> int:
+    """The states reachable from ``mask`` along ``adj``, where ``adj[q]`` is
+    the mask of q's successors."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = adj[low.bit_length() - 1] & ~mask
+        mask |= new
+        todo |= new
+    return mask
 
 
 def remove_lambda(a: Nfa) -> Nfa:
@@ -129,16 +156,15 @@ def remove_lambda(a: Nfa) -> Nfa:
     """
     if not a.has_lambda:
         return a
-    closures = [_closure(a, {q}) for q in range(a.state_count)]
     trans = set()
+    finals = set()
     for p in range(a.state_count):
-        for q in closures[p]:
-            for (src, sym), dsts in a._delta.items():
-                if src == q and sym is not None:
-                    for r in dsts:
-                        trans.add((p, sym, r))
-    finals = frozenset(p for p in range(a.state_count) if closures[p] & a.finals)
-    return Nfa(a.state_count, a.alphabet, a.start, finals, frozenset(trans))
+        closure = _reach(a.lam, 1 << p)
+        if closure & a.final_mask:
+            finals.add(p)
+        for x in range(a.alphabet.size):
+            trans.update((p, x, r) for r in bits(step(a.succ, closure, x)))
+    return Nfa(a.state_count, a.alphabet, a.start, frozenset(finals), frozenset(trans))
 
 
 def trim(a: Nfa) -> Nfa:
@@ -150,52 +176,41 @@ def trim(a: Nfa) -> Nfa:
     return trim_with_indices(a)[0]
 
 
+def _adjacency(a: Nfa) -> tuple[list[int], list[int]]:
+    """Each state's successor and predecessor masks, over every label."""
+    fwd = [0] * a.state_count
+    bwd = [0] * a.state_count
+    for src, _sym, dst in a.transitions:
+        fwd[src] |= 1 << dst
+        bwd[dst] |= 1 << src
+    return fwd, bwd
+
+
 def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
     """``trim`` and the original index of each surviving state, which is
     empty when the language is empty."""
-    fwd: dict[int, set[int]] = {}
-    bwd: dict[int, set[int]] = {}
-    for src, _sym, dst in a.transitions:
-        fwd.setdefault(src, set()).add(dst)
-        bwd.setdefault(dst, set()).add(src)
-
-    def explore(adj, roots):
-        seen = set(roots)
-        stack = list(roots)
-        while stack:
-            q = stack.pop()
-            for r in adj.get(q, ()):
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return seen
-
-    reach = explore(fwd, {a.start})
-    coreach = explore(bwd, set(a.finals))
-    useful = sorted(reach & coreach)
+    fwd, bwd = _adjacency(a)
+    useful = list(bits(_reach(fwd, 1 << a.start) & _reach(bwd, a.final_mask)))
     if a.start not in useful:
         return empty_nfa(a.alphabet), ()
     remap = {old: new for new, old in enumerate(useful)}
-    trans = frozenset(
-        (remap[s], x, remap[d])
-        for s, x, d in a.transitions
-        if s in remap and d in remap
-    )
+    trans = frozenset((remap[s], x, remap[d]) for s, x, d in a.transitions
+                      if s in remap and d in remap)
     finals = frozenset(remap[q] for q in a.finals if q in remap)
     return Nfa(len(useful), a.alphabet, remap[a.start], finals, trans), tuple(useful)
 
 
 def accepts(a: Nfa, w: Word) -> bool:
-    """Forward state-set simulation with lambda closure."""
-    cur = _closure(a, {a.start})
+    """Forward state-mask simulation, closing under lambda edges if any."""
+    closed = a.has_lambda
+    cur = _reach(a.lam, 1 << a.start) if closed else 1 << a.start
     for c in w:
-        nxt = set()
-        for q in cur:
-            nxt |= a.delta(q, c)
-        if not nxt:
+        cur = step(a.succ, cur, c)
+        if closed:
+            cur = _reach(a.lam, cur)
+        if not cur:
             return False
-        cur = _closure(a, nxt)
-    return bool(cur & a.finals)
+    return bool(cur & a.final_mask)
 
 
 def word_masks(a: Nfa) -> tuple[Callable[[Word], int], Callable[[Word], int]]:
@@ -208,22 +223,12 @@ def word_masks(a: Nfa) -> tuple[Callable[[Word], int], Callable[[Word], int]]:
     simulated once, not once per pair.
     """
     a = remove_lambda(a)
-    succ = [[0] * a.alphabet.size for _ in range(a.state_count)]
     pred = [[0] * a.alphabet.size for _ in range(a.state_count)]
     for p, x, q in a.transitions:
-        succ[p][x] |= 1 << q
         pred[q][x] |= 1 << p
 
-    def step(rel, mask, x):
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= rel[low.bit_length() - 1][x]
-            mask ^= low
-        return out
-
     fwd_memo = {(): 1 << a.start}
-    bwd_memo = {(): sum(1 << q for q in a.finals)}
+    bwd_memo = {(): a.final_mask}
 
     def fwd(x: Word) -> int:
         i = len(x)
@@ -231,7 +236,7 @@ def word_masks(a: Nfa) -> tuple[Callable[[Word], int], Callable[[Word], int]]:
             i -= 1
         mask = fwd_memo[x[:i]]
         for j in range(i, len(x)):
-            mask = fwd_memo[x[: j + 1]] = step(succ, mask, x[j])
+            mask = fwd_memo[x[: j + 1]] = step(a.succ, mask, x[j])
         return mask
 
     def bwd(w: Word) -> int:
@@ -272,9 +277,6 @@ class Dfa:
                 if not 0 <= q < self.state_count:
                     raise ValueError("table entry out of range")
 
-    def step(self, q: int, x: int) -> int:
-        return self.table[q][x]
-
 
 def dfa_accepts(d: Dfa, w: Word) -> bool:
     q = d.start
@@ -288,27 +290,21 @@ def determinize_with_subsets(a: Nfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
     order (the empty subset, if present, appears as the sink)."""
     if a.has_lambda:
         raise ValueError("determinize requires a lambda-free NFA")
-    start = frozenset({a.start})
-    index = {start: 0}
-    order = [start]
-    queue = deque([start])
-    rows = {}
-    while queue:
-        sub = queue.popleft()
+    index = {1 << a.start: 0}
+    order = [1 << a.start]
+    table = []
+    for sub in order:  # grows as subsets are discovered: a BFS queue
         row = []
         for x in range(a.alphabet.size):
-            nxt = frozenset(r for q in sub for r in a.delta(q, x))
+            nxt = step(a.succ, sub, x)
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
-                queue.append(nxt)
             row.append(index[nxt])
-        rows[index[sub]] = tuple(row)
-    table = tuple(rows[i] for i in range(len(order)))
-    finals = frozenset(i for i, sub in enumerate(order) if sub & a.finals)
-    sink = index.get(frozenset())
-    dfa = Dfa(len(order), a.alphabet, 0, finals, table, sink=sink)
-    return dfa, tuple(order)
+        table.append(tuple(row))
+    finals = frozenset(i for i, sub in enumerate(order) if sub & a.final_mask)
+    dfa = Dfa(len(order), a.alphabet, 0, finals, tuple(table), sink=index.get(0))
+    return dfa, tuple(frozenset(bits(sub)) for sub in order)
 
 
 def determinize(a: Nfa) -> Dfa:
@@ -316,16 +312,12 @@ def determinize(a: Nfa) -> Dfa:
 
 
 def _dfa_reachable(d: Dfa) -> Dfa:
-    seen = {d.start}
-    orderq = deque([d.start])
     order = [d.start]
-    while orderq:
-        q = orderq.popleft()
-        for x in range(d.alphabet.size):
-            r = d.table[q][x]
+    seen = {d.start}
+    for q in order:  # grows as states are discovered: a BFS queue
+        for r in d.table[q]:
             if r not in seen:
                 seen.add(r)
-                orderq.append(r)
                 order.append(r)
     remap = {old: new for new, old in enumerate(order)}
     table = tuple(
@@ -399,23 +391,46 @@ def enumerate_words(a: Nfa, max_len: int) -> list[Word]:
     """All members of L(a) of length <= max_len in length-then-lex order.
 
     Walks the prefix trie breadth-first, pruning prefixes whose state set is
-    empty, so thin languages over large alphabets stay cheap.
+    empty, so thin languages over large alphabets stay cheap.  Nodes with
+    one state set share its row of successor sets.
     """
     a = remove_lambda(a)
+    k = a.alphabet.size
+    rows: dict[int, tuple[int, ...]] = {}
     out: list[Word] = []
-    level: list[tuple[Word, frozenset[int]]] = [((), frozenset({a.start}))]
+    level: list[tuple[Word, int]] = [((), 1 << a.start)]
     for length in range(max_len + 1):
         nxt_level = []
         for word, states in level:
-            if states & a.finals:
+            if states & a.final_mask:
                 out.append(word)
             if length < max_len:
-                for x in range(a.alphabet.size):
-                    nxt = frozenset(r for q in states for r in a.delta(q, x))
+                row = rows.get(states)
+                if row is None:
+                    row = rows[states] = tuple(step(a.succ, states, x) for x in range(k))
+                for x, nxt in enumerate(row):
                     if nxt:
                         nxt_level.append((word + (x,), nxt))
         level = nxt_level
     return out
+
+
+def least_word(a: Nfa) -> Word | None:
+    """The length-lexicographically least word of L(a), or None.  A BFS over
+    state sets in symbol order reaches each set first by its least word, and
+    so the first accepting set by the least accepted word."""
+    a = remove_lambda(a)
+    queue = [((), 1 << a.start)]
+    seen = {1 << a.start}
+    for word, states in queue:  # grows as sets are discovered
+        if states & a.final_mask:
+            return word
+        for x in range(a.alphabet.size):
+            nxt = step(a.succ, states, x)
+            if nxt and nxt not in seen:
+                seen.add(nxt)
+                queue.append((word + (x,), nxt))
+    return None
 
 
 def product_intersection_with_pairs(a: Nfa, b: Nfa) -> tuple[Nfa, tuple[tuple[int, int], ...]]:
@@ -424,25 +439,19 @@ def product_intersection_with_pairs(a: Nfa, b: Nfa) -> tuple[Nfa, tuple[tuple[in
         raise ValueError("product requires identical alphabets")
     if a.has_lambda or b.has_lambda:
         raise ValueError("product requires lambda-free inputs")
-    start = (a.start, b.start)
-    index = {start: 0}
-    order = [start]
-    queue = deque([start])
+    index = {(a.start, b.start): 0}
+    order = [(a.start, b.start)]
     trans = set()
-    while queue:
-        p, q = queue.popleft()
+    for src, (p, q) in enumerate(order):  # grows as pairs are discovered: a BFS queue
         for x in range(a.alphabet.size):
-            for p2 in sorted(a.delta(p, x)):
-                for q2 in sorted(b.delta(q, x)):
+            for p2 in bits(a.succ[p][x]):
+                for q2 in bits(b.succ[q][x]):
                     pair = (p2, q2)
                     if pair not in index:
                         index[pair] = len(order)
                         order.append(pair)
-                        queue.append(pair)
-                    trans.add((index[(p, q)], x, index[pair]))
-    finals = frozenset(
-        i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals
-    )
+                    trans.add((src, x, index[pair]))
+    finals = frozenset(i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals)
     nfa = Nfa(len(order), a.alphabet, 0, finals, frozenset(trans))
     return nfa, tuple(order)
 
@@ -453,5 +462,4 @@ def product_intersection(a: Nfa, b: Nfa) -> Nfa:
 
 def is_empty(a: Nfa) -> bool:
     """Language emptiness: no final state reachable from the start."""
-    t = trim(a)
-    return not t.finals
+    return not _reach(_adjacency(a)[0], 1 << a.start) & a.final_mask

@@ -15,9 +15,11 @@ from .automata import (
     Nfa,
     accepts,
     alphabet,
+    bits,
     canonical_dfa,
     enumerate_words,
     lambda_nfa,
+    step,
     word_masks,
 )
 from .constructions import (
@@ -274,10 +276,8 @@ def _candidate_nfa(a: Nfa, k: int, cells: tuple[int, ...], finals_mask: int) -> 
     trans = set()
     for st in range(k):
         for x in range(s):
-            mask = cells[st * s + x]
-            for dst in range(k):
-                if mask >> dst & 1:
-                    trans.add((st, x, dst))
+            for dst in bits(cells[st * s + x]):
+                trans.add((st, x, dst))
     finals = frozenset(q for q in range(k) if finals_mask >> q & 1)
     return Nfa(k, a.alphabet, 0, finals, frozenset(trans))
 
@@ -286,15 +286,10 @@ def _final_mask_options(cells, k, s, parents, symbols, labels, f_max):
     """All subsets of f_max consistent with the sample labels, largest
     first.  Needed because the bounded sample cannot always distinguish
     final-set choices that only diverge on longer words."""
+    rows = [cells[st * s:(st + 1) * s] for st in range(k)]
     reach = [1]
     for i in range(1, len(parents)):
-        pm = reach[parents[i]]
-        x = symbols[i]
-        nm = 0
-        for st in range(k):
-            if pm >> st & 1:
-                nm |= cells[st * s + x]
-        reach.append(nm)
+        reach.append(step(rows, reach[parents[i]], symbols[i]))
     accept_masks = [reach[i] for i in range(len(parents)) if labels[i]]
     options = []
     sub = f_max

@@ -14,7 +14,7 @@ import sys
 import click
 
 from . import serialize
-from .automata import enumerate_words
+from .automata import enumerate_words, remove_lambda
 from .bounds import (
     OPERATIONS,
     FoolingSet,
@@ -51,11 +51,19 @@ def _fail_certificate(exc):
     sys.exit(4)
 
 
-def _fail_precondition(exc):
+def _pair_text(alpha, pair):
+    shorter, longer = pair
+    return f"({alpha.text(shorter) or 'λ'}, {alpha.text(longer)})"
+
+
+def _fail_precondition(exc, alpha):
+    """Exit 3; witnesses print in labels (the operands share ``alpha``)."""
     if isinstance(exc, NonReturningViolation):
-        msg = f"non-returning precondition violated (witness transition {exc.transition})"
+        src, sym, dst = exc.transition
+        msg = ("non-returning precondition violated "
+               f"(witness transition ({src}, {alpha.labels[sym]}, {dst}))")
     elif isinstance(exc, SuffixFreeViolation):
-        msg = f"suffix-free precondition violated (witness pair {exc.witness})"
+        msg = f"suffix-free precondition violated (witness pair {_pair_text(alpha, exc.witness)})"
     else:
         msg = str(exc)
     click.echo(f"error: {msg}", err=True)
@@ -72,8 +80,6 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON verdict")
 def check(automaton, as_json):
     """Report suffix-freeness and the non-returning flag of an automaton."""
-    from .automata import remove_lambda
-
     nfa = remove_lambda(_load(automaton))
     try:
         verdict = is_suffix_free(nfa)
@@ -90,11 +96,7 @@ def check(automaton, as_json):
         yn = {True: "yes", False: "no"}
         line = f"suffix-free: {yn[verdict.suffix_free]}; non-returning: {yn[non_ret]}"
         if verdict.witness is not None:
-            shorter, longer = verdict.witness
-            line += (
-                f"; witness: ({nfa.alphabet.text(shorter) or 'λ'}, "
-                f"{nfa.alphabet.text(longer)})"
-            )
+            line += f"; witness: {_pair_text(nfa.alphabet, verdict.witness)}"
         click.echo(line)
     sys.exit(0 if verdict.suffix_free else 1)
 
@@ -128,7 +130,7 @@ def op(name, inputs, output, dot_path, strict):
     try:
         result = spec.construct(*automata, strict=strict)
     except PreconditionViolation as exc:
-        _fail_precondition(exc)
+        _fail_precondition(exc, automata[0].alphabet)
     except CertificateError as exc:
         _fail_certificate(exc)
     serialize.dump(result, output)

@@ -10,12 +10,12 @@ structural precondition.
 from __future__ import annotations
 
 from .automata import (
-    LAMBDA,
     Dfa,
     Nfa,
+    bits,
     determinize_with_subsets,
     product_intersection_with_pairs,
-    remove_lambda,
+    step,
     trim_with_indices,
 )
 from .errors import (
@@ -123,7 +123,7 @@ def concat_sf(a: Nfa, b: Nfa, strict: bool = False) -> Nfa:
         if src != b.start:
             trans.add((b_map[src], sym, b_map[dst]))
     for x in range(b.alphabet.size):
-        for dst in b.delta(b.start, x):
+        for dst in bits(b.succ[b.start][x]):
             for f in a.finals:
                 trans.add((f, x, b_map[dst]))
     finals = {b_map[q] for q in b.finals if q != b.start}
@@ -179,7 +179,7 @@ def star_sf(a: Nfa, strict: bool = False) -> Nfa:
         _require_suffix_free(a, "input")
     trans = set(a.transitions)
     for x in range(a.alphabet.size):
-        for dst in a.delta(a.start, x):
+        for dst in bits(a.succ[a.start][x]):
             for f in a.finals:
                 trans.add((f, x, dst))
     finals = frozenset(a.finals | {a.start})
@@ -187,23 +187,17 @@ def star_sf(a: Nfa, strict: bool = False) -> Nfa:
 
 
 def reverse_nfa(a: Nfa, strict: bool = False) -> Nfa:
-    """Reversal on m+1 states: flip every transition, make the old start
-    final, and reach the old finals from a fresh start via lambda edges
-    that are immediately removed again."""
+    """Reversal on m+1 states: flip every transition and make the old start
+    final; a fresh start takes the flipped out-transitions of the old finals,
+    and is final when the old start was."""
     _require_lambda_free(a, "input")
     if strict:
         _require_suffix_free(a, "input")
     new_start = a.state_count
     trans = {(dst, sym, src) for src, sym, dst in a.transitions}
-    trans |= {(new_start, LAMBDA, f) for f in a.finals}
-    flipped = Nfa(
-        a.state_count + 1,
-        a.alphabet,
-        new_start,
-        frozenset({a.start}),
-        frozenset(trans),
-    )
-    return remove_lambda(flipped)
+    trans |= {(new_start, sym, src) for src, sym, dst in a.transitions if dst in a.finals}
+    finals = {a.start, new_start} if a.start in a.finals else {a.start}
+    return Nfa(a.state_count + 1, a.alphabet, new_start, frozenset(finals), frozenset(trans))
 
 
 def complement_sf(a: Nfa, strict: bool = False) -> Dfa:
@@ -238,16 +232,15 @@ def left_quotient_symbol(a: Nfa, c: int, drop_symbol: bool = False) -> Nfa:
     if not 0 <= c < a.alphabet.size:
         raise ValueError("quotient symbol out of range")
     new_start = a.state_count
-    after_c = a.delta(a.start, c)
+    after_c = a.succ[a.start][c]
     trans = set(a.transitions)
     for x in range(a.alphabet.size):
-        for p in after_c:
-            for dst in a.delta(p, x):
-                trans.add((new_start, x, dst))
+        for dst in bits(step(a.succ, after_c, x)):
+            trans.add((new_start, x, dst))
     if drop_symbol:
         trans = {(s, x, d) for s, x, d in trans if x != c}
     finals_out = set(a.finals)
-    if after_c & a.finals:
+    if after_c & a.final_mask:
         finals_out.add(new_start)
     return Nfa(
         a.state_count + 1,

@@ -20,6 +20,9 @@ from .automata import Alphabet, Dfa, Nfa, dfa_to_nfa
 from .errors import ParseError
 
 LAMBDA_LABEL = "~"
+# Bounds on Nfa rows and on mask bits, as wide as a mask's highest state (README).
+MAX_CELLS = 1 << 20
+MAX_MASK_BITS = 1 << 31
 
 
 def to_document(a: Nfa | Dfa) -> dict:
@@ -57,6 +60,8 @@ def from_document(doc) -> Nfa:
     states, start, finals = doc["states"], doc["start"], doc["finals"]
     if type(states) is not int or states <= 0:
         raise ParseError("states must be a positive integer")
+    if states * max(alpha.size, 1) > MAX_CELLS:
+        raise ParseError(f"states × alphabet size must be at most {MAX_CELLS}")
     if type(start) is not int:
         raise ParseError("start must be an integer")
     if type(finals) is not list or any(type(q) is not int for q in finals):
@@ -79,6 +84,8 @@ def from_document(doc) -> Nfa:
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
         trans.add((src, sym, dst))
+    if sum(dst + 1 for _, _, dst in trans if 0 <= dst < states) > MAX_MASK_BITS:
+        raise ParseError(f"the successor masks would exceed {MAX_MASK_BITS} bits")
     try:
         return Nfa(states, alpha, start, frozenset(finals), frozenset(trans))
     except (TypeError, ValueError) as exc:
@@ -88,7 +95,7 @@ def from_document(doc) -> Nfa:
 def from_json(text: str) -> Nfa:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     return from_document(doc)
 
@@ -97,7 +104,7 @@ def load(path) -> Nfa:
     try:
         with open(path, encoding="utf-8") as fh:
             return from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

@@ -13,8 +13,9 @@ from .automata import (
     Nfa,
     Word,
     accepts,
-    enumerate_words,
+    bits,
     is_empty,
+    least_word,
     product_intersection,
 )
 from .errors import CertificateError, PreconditionViolation
@@ -55,7 +56,7 @@ def _proper_suffix_language(a: Nfa) -> Nfa:
     for x in range(k):
         trans.add((0, x, 1))
         trans.add((1, x, 1))
-        for q in a.delta(a.start, x):
+        for q in bits(a.succ[a.start][x]):
             trans.add((1, x, q + offset))
     for src, sym, dst in a.transitions:
         trans.add((src + offset, sym, dst + offset))
@@ -74,13 +75,7 @@ def is_suffix_free(a: Nfa) -> SuffixFreeness:
     overlap = product_intersection(a, _proper_suffix_language(a))
     if is_empty(overlap):
         return SuffixFreeness(True)
-    # Shortest accepted word of the overlap exists within its state count.
-    longer = None
-    for bound in range(1, overlap.state_count + 1):
-        words = enumerate_words(overlap, bound)
-        if words:
-            longer = words[0]
-            break
+    longer = least_word(overlap)
     if longer is None:
         raise CertificateError("the suffix overlap is non-empty but accepts no word")
     for i in range(len(longer), 0, -1):  # shortest proper suffix first

@@ -1,0 +1,96 @@
+"""Frozenset reference versions of the automaton algorithms, for
+differential tests of the bitmask core in ``sfnfa.automata``.
+
+They read only an ``Nfa``'s defining fields (start, finals, transitions)
+and simulate state sets as frozensets, one ``(state, symbol)`` lookup at a
+time, so they share no code with the masks they check.
+"""
+
+from sfnfa.automata import Dfa, Nfa
+
+
+def delta(a: Nfa) -> dict:
+    out = {}
+    for src, sym, dst in a.transitions:
+        out.setdefault((src, sym), set()).add(dst)
+    return {key: frozenset(dsts) for key, dsts in out.items()}
+
+
+def closure(d: dict, states) -> frozenset:
+    seen = set(states)
+    stack = list(states)
+    while stack:
+        q = stack.pop()
+        for r in d.get((q, None), ()):
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return frozenset(seen)
+
+
+def remove_lambda(a: Nfa) -> Nfa:
+    if not any(sym is None for _, sym, _ in a.transitions):
+        return a
+    d = delta(a)
+    closures = [closure(d, {q}) for q in range(a.state_count)]
+    trans = set()
+    for p in range(a.state_count):
+        for q in closures[p]:
+            for (src, sym), dsts in d.items():
+                if src == q and sym is not None:
+                    for r in dsts:
+                        trans.add((p, sym, r))
+    finals = frozenset(p for p in range(a.state_count) if closures[p] & a.finals)
+    return Nfa(a.state_count, a.alphabet, a.start, finals, frozenset(trans))
+
+
+def accepts(a: Nfa, w) -> bool:
+    d = delta(a)
+    cur = closure(d, {a.start})
+    for c in w:
+        nxt = set()
+        for q in cur:
+            nxt |= d.get((q, c), frozenset())
+        if not nxt:
+            return False
+        cur = closure(d, nxt)
+    return bool(cur & a.finals)
+
+
+def enumerate_words(a: Nfa, max_len: int) -> list:
+    a = remove_lambda(a)
+    d = delta(a)
+    out = []
+    level = [((), frozenset({a.start}))]
+    for length in range(max_len + 1):
+        nxt_level = []
+        for word, states in level:
+            if states & a.finals:
+                out.append(word)
+            if length < max_len:
+                for x in range(a.alphabet.size):
+                    nxt = frozenset(r for q in states for r in d.get((q, x), ()))
+                    if nxt:
+                        nxt_level.append((word + (x,), nxt))
+        level = nxt_level
+    return out
+
+
+def determinize_with_subsets(a: Nfa) -> tuple[Dfa, tuple[frozenset, ...]]:
+    d = delta(a)
+    start = frozenset({a.start})
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for sub in order:
+        row = []
+        for x in range(a.alphabet.size):
+            nxt = frozenset(r for q in sub for r in d.get((q, x), ()))
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    finals = frozenset(i for i, sub in enumerate(order) if sub & a.finals)
+    dfa = Dfa(len(order), a.alphabet, 0, finals, tuple(rows), sink=index.get(frozenset()))
+    return dfa, tuple(order)

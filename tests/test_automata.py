@@ -15,6 +15,7 @@ from sfnfa.automata import (
     empty_nfa,
     enumerate_words,
     equivalent,
+    least_word,
     make_nfa,
     minimize,
     product_intersection,
@@ -26,6 +27,7 @@ from sfnfa.constructions import reverse_nfa
 from sfnfa.suffixfree import is_non_returning
 from sfnfa.witnesses import Family, WitnessSpec, build
 
+import set_oracle
 from conftest import all_words, random_nfa, random_non_returning_nfa
 
 
@@ -317,3 +319,45 @@ def test_word_masks_agree_with_accepts(seed, word):
     expected = accepts(a, word)
     for i in range(len(word) + 1):
         assert bool(fwd(word[:i]) & bwd(word[i:])) == expected
+
+
+random_lambda_nfas = st.builds(
+    lambda seed, labels, lambda_prob: random_nfa(
+        random.Random(seed), max_states=7, labels=labels, lambda_prob=lambda_prob),
+    st.integers(0, 2**31 - 1), st.sampled_from(["ab", "abc"]), st.sampled_from([0.0, 0.15, 0.3]),
+)
+
+
+class TestMaskCoreAgainstSetOracle:
+    """The bitmask core against the frozenset algorithms it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_lambda_nfas, st.lists(st.integers(0, 2), max_size=7))
+    def test_accepts(self, a, word):
+        word = tuple(x % a.alphabet.size for x in word)
+        assert accepts(a, word) == set_oracle.accepts(a, word)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_lambda_nfas)
+    def test_enumerate_words(self, a):
+        assert enumerate_words(a, 6) == set_oracle.enumerate_words(a, 6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_lambda_nfas)
+    def test_remove_lambda(self, a):
+        assert remove_lambda(a) == set_oracle.remove_lambda(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_lambda_nfas)
+    def test_determinize_with_subsets(self, a):
+        a = remove_lambda(a)
+        dfa, subsets = determinize_with_subsets(a)
+        want, want_subsets = set_oracle.determinize_with_subsets(a)
+        assert subsets == want_subsets
+        assert dfa == want and dfa.sink == want.sink
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_lambda_nfas)
+    def test_least_word_is_first_enumerated(self, a):
+        words = enumerate_words(a, a.state_count)
+        assert least_word(a) == (words[0] if words else None)

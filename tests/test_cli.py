@@ -1,14 +1,19 @@
 import json
+import random
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import event, given, settings, strategies as st
 
 from sfnfa import bounds
 from sfnfa.cli import main
-from sfnfa.serialize import dump, from_json, to_json
+from sfnfa.serialize import dump, from_json, to_document, to_json
 from sfnfa.witnesses import Family, WitnessSpec, build
 from sfnfa.automata import make_nfa
+
+from conftest import random_nfa, random_non_returning_nfa
 
 
 @pytest.fixture
@@ -117,7 +122,12 @@ class TestOp:
         out = tmp_path / "out.json"
         result = runner.invoke(main, ["op", name, str(path), "-o", str(out), "--strict"])
         assert result.exit_code == 3
-        assert "error: " in result.output
+        # Witnesses print in labels, as `check` prints them.
+        expected = {
+            "reverse": "error: suffix-free precondition violated (witness pair (a, aba))",
+            "star": "error: non-returning precondition violated (witness transition (1, b, 0))",
+        }
+        assert expected[name] in result.output
         assert not out.exists()
 
     def test_reverse_strict_accepts_suffix_free(self, runner, tmp_path):
@@ -288,3 +298,95 @@ class TestRoundTrip:
         runner.invoke(main, ["op", "intersect", str(p1), str(p2), "-o", str(out)])
         text = out.read_text()
         assert to_json(from_json(text)) + "\n" == text
+
+    def test_large_witness_reloads(self, runner, tmp_path):
+        out = tmp_path / "w.json"
+        assert runner.invoke(main, ["witness", "lemma-l2", "--m", "8193", "-o", str(out)]).exit_code == 0
+        result = runner.invoke(main, ["check", str(out)])
+        assert result.exit_code == 0, result.output
+
+    def test_large_complement_reloads(self, runner, tmp_path):
+        # (a+b)* a (a+b)^13 behind a non-returning start: 2^14 + 1 DFA states.
+        n, start = 14, 15
+        edges = [(q, x, 0) for q in (0, start) for x in "ab"] + [(0, "a", 1), (start, "a", 1)]
+        edges += [(q, x, q + 1) for q in range(1, n) for x in "ab"]
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        dump(make_nfa(n + 2, "ab", start, [n], edges), src)
+        assert runner.invoke(main, ["op", "complement", str(src), "-o", str(out)]).exit_code == 0
+        assert json.loads(out.read_text())["states"] == 2**14 + 1
+        result = runner.invoke(main, ["enumerate", str(out), "--max-len", "2"])
+        assert result.exit_code == 0, result.output
+
+
+# Fuzzing: malformed documents and argument vectors through the CLI.
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.floats(-2, 9), st.text(max_size=3))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_states = st.integers(-1, 7)
+_labels = st.sampled_from(["a", "b", "c", "~", "ab", "", 0, None])
+_documents = st.builds(
+    lambda doc, dropped: {k: v for k, v in doc.items() if k not in dropped},
+    st.fixed_dictionaries({
+        "alphabet": st.lists(_labels, max_size=3) | _json_values,
+        "states": _states | _json_values,
+        "start": _states | _json_values,
+        "finals": st.lists(_states, max_size=4) | _json_values,
+        "transitions": st.lists(
+            st.tuples(_states, _labels, _states).map(list) | _json_values, max_size=8)
+        | _json_values,
+    }),
+    st.sets(st.sampled_from(["alphabet", "states", "start", "finals", "transitions"]), max_size=2),
+)
+# Well-formed automata, so that verdicts and constructions run too.
+_valid_documents = st.builds(
+    lambda seed, labels, returning: to_document(
+        (random_nfa if returning else random_non_returning_nfa)(
+            random.Random(seed), max_states=5, labels=labels)),
+    st.integers(0, 2**31 - 1), st.sampled_from(["ab", "abc"]), st.booleans(),
+)
+# A file's bytes: half of them an automaton, the rest a malformed document,
+# other JSON, or text and bytes that are not JSON.
+_file_bytes = st.booleans().flatmap(lambda well_formed: (
+    _valid_documents.map(lambda doc: json.dumps(doc).encode()) if well_formed else st.one_of(
+        _documents.map(lambda doc: json.dumps(doc).encode()),
+        _json_values.map(lambda v: json.dumps(v).encode()),
+        st.text(max_size=20).map(str.encode),
+        st.binary(max_size=20),
+    )))
+_commands = st.one_of(
+    st.sampled_from([["check", "A"], ["check", "A", "--json"]]),
+    st.tuples(
+        st.sampled_from(["union", "concat", "intersect"]).map(lambda name: ["op", name, "A", "B"])
+        | st.sampled_from(["star", "reverse", "complement"]).map(lambda name: ["op", name, "A"]),
+        st.sampled_from([[], ["--strict"], ["--dot", "DOT"]]),
+    ).map(lambda parts: parts[0] + ["-o", "OUT"] + parts[1]),
+    st.sampled_from(["0", "3", "5"]).map(lambda n: ["enumerate", "A", "--max-len", n]),
+)
+# Half of the command lines are well-formed; the rest lose a token or gain one.
+_argvs = st.booleans().flatmap(lambda well_formed: _commands if well_formed else st.tuples(
+    _commands, st.integers(0, 6), st.booleans(),
+    st.sampled_from(["--json", "--strict", "--bogus", "-o", "--dot", "--max-len", "-1", "x", "",
+                     "nope", "A", "B", "MISSING", "OUT"]),
+).map(lambda t: t[0][:t[1]] + [t[3]] + t[0][t[1] + t[2]:]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_file_bytes, _file_bytes, _argvs)
+def test_fuzzed_inputs_exit_with_documented_codes(first, second, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"A": Path(tmp, "a.json"), "B": Path(tmp, "b.json"), "OUT": Path(tmp, "out.json"),
+                 "DOT": Path(tmp, "out.dot"), "MISSING": Path(tmp, "missing.json")}
+        paths["A"].write_bytes(first)
+        paths["B"].write_bytes(second)
+        args = [str(paths[arg]) if arg in paths else arg for arg in argv]
+        result = CliRunner().invoke(main, args)
+    event(f"exit {result.exit_code}")
+    assert result.exit_code in {0, 1, 2, 3}, (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, result.exception)
+    assert "Traceback" not in result.output

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -368,7 +372,7 @@ class TestCertificateChecks:
             complement_sf(w)
 
     def test_suffix_overlap_without_word(self, monkeypatch):
-        monkeypatch.setattr(suffixfree, "enumerate_words", lambda a, bound: [])
+        monkeypatch.setattr(suffixfree, "least_word", lambda a: None)
         with pytest.raises(CertificateError, match="accepts no word"):
             is_suffix_free(make_nfa(1, "ab", 0, [0], [(0, "a", 0)]))
 
@@ -376,3 +380,17 @@ class TestCertificateChecks:
         monkeypatch.setattr(suffixfree, "accepts", lambda a, w: False)
         with pytest.raises(CertificateError, match="no accepted proper suffix"):
             is_suffix_free(make_nfa(1, "ab", 0, [0], [(0, "a", 0)]))
+
+
+def test_certificate_checks_run_under_optimize():
+    """The checks above stay explicit raises: an ``assert`` in their place
+    would be stripped by ``python -O`` and the class would fail there."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_constructions.py::TestCertificateChecks"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -55,11 +55,25 @@ def test_file_round_trip(tmp_path):
         '{"alphabet": ["a"], "states": 1, "start": 2, "finals": [], "transitions": []}',
         '{"alphabet": ["a"], "states": 1, "start": 0, "finals": [], "transitions": [[0, "z", 0]]}',
         '{"alphabet": ["a", "a"], "states": 1, "start": 0, "finals": [], "transitions": []}',
+        pytest.param('{"alphabet": ["a", "b"], "states": 524289, "start": 0, "finals": [], '
+                     '"transitions": []}', id="rows-too-many"),
+        pytest.param(json.dumps({"alphabet": ["a"], "states": 300000, "start": 0, "finals": [],
+                                 "transitions": [[q, "a", 299999] for q in range(7200)]}),
+                     id="mask-bits-too-many"),
+        pytest.param("[" * 100000, id="nesting-too-deep"),
+        pytest.param("1" * 5000, id="integer-too-long"),
     ],
 )
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         from_json(text)
+
+
+def test_load_rejects_undecodable_file(tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ParseError, match="cannot read"):
+        load(path)
 
 
 @pytest.mark.parametrize(
