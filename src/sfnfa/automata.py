@@ -213,6 +213,35 @@ def accepts(a: Nfa, w: Word) -> bool:
     return bool(cur & a.final_mask)
 
 
+def pred_rows(a: Nfa) -> list[list[int]]:
+    """``pred[q][x]``: the mask of the states with an x-edge into q, in a
+    lambda-free automaton, so that ``step(pred, mask, x)`` steps a set of
+    states backwards over x."""
+    pred = [[0] * a.alphabet.size for _ in range(a.state_count)]
+    for p, x, q in a.transitions:
+        pred[q][x] |= 1 << p
+    return pred
+
+
+def reachable_sets(rows, start: int):
+    """Each non-empty state set reachable from ``start`` along ``rows``, with
+    the word that first reaches it, in discovery order.  The search is
+    breadth-first in symbol order, so that word is the length-lexicographically
+    least one."""
+    if not start:
+        return
+    symbols = range(len(rows[0]))
+    queue = [((), start)]
+    seen = {start}
+    for word, states in queue:  # grows as sets are discovered
+        yield word, states
+        for x in symbols:
+            nxt = step(rows, states, x)
+            if nxt and nxt not in seen:
+                seen.add(nxt)
+                queue.append((word + (x,), nxt))
+
+
 def word_masks(a: Nfa) -> tuple[Callable[[Word], int], Callable[[Word], int]]:
     """Membership oracle for many prefix/suffix splits of one automaton.
 
@@ -223,10 +252,7 @@ def word_masks(a: Nfa) -> tuple[Callable[[Word], int], Callable[[Word], int]]:
     simulated once, not once per pair.
     """
     a = remove_lambda(a)
-    pred = [[0] * a.alphabet.size for _ in range(a.state_count)]
-    for p, x, q in a.transitions:
-        pred[q][x] |= 1 << p
-
+    pred = pred_rows(a)
     fwd_memo = {(): 1 << a.start}
     bwd_memo = {(): a.final_mask}
 
@@ -416,21 +442,11 @@ def enumerate_words(a: Nfa, max_len: int) -> list[Word]:
 
 
 def least_word(a: Nfa) -> Word | None:
-    """The length-lexicographically least word of L(a), or None.  A BFS over
-    state sets in symbol order reaches each set first by its least word, and
-    so the first accepting set by the least accepted word."""
+    """The length-lexicographically least word of L(a), or None: the word of
+    the first accepting set that ``reachable_sets`` discovers."""
     a = remove_lambda(a)
-    queue = [((), 1 << a.start)]
-    seen = {1 << a.start}
-    for word, states in queue:  # grows as sets are discovered
-        if states & a.final_mask:
-            return word
-        for x in range(a.alphabet.size):
-            nxt = step(a.succ, states, x)
-            if nxt and nxt not in seen:
-                seen.add(nxt)
-                queue.append((word + (x,), nxt))
-    return None
+    return next((word for word, states in reachable_sets(a.succ, 1 << a.start)
+                 if states & a.final_mask), None)
 
 
 def product_intersection_with_pairs(a: Nfa, b: Nfa) -> tuple[Nfa, tuple[tuple[int, int], ...]]:

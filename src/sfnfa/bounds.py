@@ -5,9 +5,9 @@ reports tying upper and lower bounds together."""
 from __future__ import annotations
 
 import enum
-import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import _kernel
 from .automata import (
@@ -17,9 +17,12 @@ from .automata import (
     alphabet,
     bits,
     canonical_dfa,
-    enumerate_words,
     lambda_nfa,
+    pred_rows,
+    reachable_sets,
+    remove_lambda,
     step,
+    trim,
     word_masks,
 )
 from .constructions import (
@@ -123,79 +126,63 @@ def paper_fooling_set(family: FoolingFamily, m: int, n: int | None = None) -> Fo
     return FoolingSet(tuple(pairs))
 
 
-_CANDIDATE_CAP = 16384
-_EXACT_CLIQUE_NODES = 24
+# The most matrix cells the exact clique search takes on.  It recurses once
+# per clique member, so the cap has to stay below Python's recursion limit.
+_CELL_CAP = 512
 
 
-def search_fooling_set(
-    a: Nfa,
-    max_word_len: int,
-    target_size: int,
-    seed: int = 0,
-    restarts: int = 64,
-) -> FoolingSet | None:
-    """Automated lower-bound discovery over bounded words.
+def search_fooling_set(a: Nfa) -> FoolingSet | None:
+    """The largest fooling set of L(a) over all words, or None when L(a) is
+    empty, from the reduced automaton matrix of Kameda and Weiner (1970).
 
-    Candidates are all splits (x, w) of accepted words of length at most
-    ``max_word_len``.  Two candidates are compatible when at least one
-    cross product leaves the language; a clique of compatible candidates
-    is a fooling set.  Clique search is exact (bitmask branch and bound)
-    up to 24 candidates and seeded-greedy with restarts above.
+    Rows are the state sets reachable from the start, columns the state
+    sets from which a final state is reachable, each with the word that
+    first reaches it.  x·w is in L(a) iff the row of x meets the column of
+    w, so every fooling pair lies in a cell (r, c) with r & c non-zero, and
+    two cells (r_i, c_i), (r_j, c_j) are compatible unless r_i & c_j and
+    r_j & c_i are both non-zero.  A maximum clique of compatible cells is a
+    maximum fooling set (Birget 1992); the clique search is exact.
     """
-    if target_size < 1:
-        raise ValueError("target_size must be at least 1")
-    words = enumerate_words(a, max_word_len)
-    cands = []
-    seen = set()
-    for w in words:
-        for i in range(len(w) + 1):
-            pair = (w[:i], w[i:])
-            if pair not in seen:
-                seen.add(pair)
-                cands.append(pair)
-    if len(cands) > _CANDIDATE_CAP:
+    t = trim(remove_lambda(a))
+    # On a trim automaton every row and every column holds a cell, so more
+    # than _CELL_CAP of either already exceeds the cap.
+    rows = list(islice(reachable_sets(t.succ, 1 << t.start), _CELL_CAP + 1))
+    cols = list(islice(reachable_sets(pred_rows(t), t.final_mask), _CELL_CAP + 1))
+    cells = [(i, j) for i, (_, r) in enumerate(rows)
+             for j, (_, c) in enumerate(cols) if r & c]
+    if max(len(rows), len(cols), len(cells)) > _CELL_CAP:
         raise SearchBudgetExceeded(
-            f"{len(cands)} candidate pairs exceed the search cap",
-            best_size=1 if cands else 0,
+            f"the automaton matrix has more than {_CELL_CAP} cells, the search cap",
+            best_size=1,
         )
-    if not cands:
+    if not cells:
         return None
 
-    # Group candidates by forward and by backward mask.  S[f] holds the j
-    # with x w_j in L for any x of mask f, T[b] the j with x_j w in L for
-    # any w of mask b; classes partition the candidates, so sum is union.
-    # i and j are compatible unless j is in S[f_i] & T[b_i], which always
-    # holds i itself, since x_i w_i is in L.
-    fwd, bwd = word_masks(a)
-    nc = len(cands)
-    f_of = [fwd(x) for x, _ in cands]
-    b_of = [bwd(w) for _, w in cands]
-    f_class: dict[int, int] = {}
-    b_class: dict[int, int] = {}
-    for j in range(nc):
-        f_class[f_of[j]] = f_class.get(f_of[j], 0) | 1 << j
-        b_class[b_of[j]] = b_class.get(b_of[j], 0) | 1 << j
-    S = {f: sum(js for b, js in b_class.items() if f & b) for f in f_class}
-    T = {b: sum(js for f, js in f_class.items() if f & b) for b in b_class}
-    full = (1 << nc) - 1
-    adj = [full & ~(S[f_of[i]] & T[b_of[i]]) for i in range(nc)]
+    # Cell (i, j) clashes with the cells whose row meets column j and whose
+    # column meets row i, which includes (i, j) itself.
+    in_row = [0] * len(rows)
+    in_col = [0] * len(cols)
+    for v, (i, j) in enumerate(cells):
+        in_row[i] |= 1 << v
+        in_col[j] |= 1 << v
+    meets_col = [sum(in_row[i] for i, (_, r) in enumerate(rows) if r & c) for _, c in cols]
+    meets_row = [sum(in_col[j] for j, (_, c) in enumerate(cols) if r & c) for _, r in rows]
+    full = (1 << len(cells)) - 1
+    adj = [full & ~(meets_col[j] & meets_row[i]) for i, j in cells]
 
-    if nc <= _EXACT_CLIQUE_NODES:
-        best = _max_clique_exact(adj)
-    else:
-        best = _clique_greedy(adj, target_size, seed, restarts)
-    if len(best) < target_size:
-        return None
-    chosen = sorted(best)
-    fs = FoolingSet(
-        tuple((a.alphabet.text(cands[i][0]), a.alphabet.text(cands[i][1])) for i in chosen)
-    )
+    text = a.alphabet.text
+    fs = FoolingSet(tuple(
+        (text(rows[i][0]), text(cols[j][0][::-1]))  # a column's word is read backwards
+        for i, j in map(cells.__getitem__, _max_clique_exact(adj))
+    ))
     if not verify_fooling_set(a, fs):
         raise CertificateError("search produced an unverifiable fooling set")
     return fs
 
 
 def _max_clique_exact(adj: list[int]) -> list[int]:
+    """A maximum clique, ascending, by branch and bound over bitmasks; of
+    the maximum cliques it returns the first in lexicographic order."""
     n = len(adj)
     best: list[int] = []
 
@@ -212,34 +199,6 @@ def _max_clique_exact(adj: list[int]) -> list[int]:
             expand(clique + [v], cand_mask & adj[v] & ~((1 << (v + 1)) - 1))
 
     expand([], (1 << n) - 1)
-    return best
-
-
-def _clique_greedy(adj, target_size, seed, restarts) -> list[int]:
-    n = len(adj)
-    rng = random.Random(seed)
-    degree_order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    best: list[int] = []
-
-    def orders():
-        yield degree_order
-        for _ in range(restarts):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            yield perm
-
-    for order in orders():
-        for start in order[: min(n, 64)]:
-            clique = [start]
-            mask = adj[start]
-            for v in order:
-                if mask >> v & 1:
-                    clique.append(v)
-                    mask &= adj[v]
-            if len(clique) > len(best):
-                best = clique
-            if len(best) >= target_size:
-                return best
     return best
 
 
@@ -378,7 +337,7 @@ class ComplexityReport:
 
 
 # The lower-bound method of an operation without a paper fooling family:
-# the seeded fooling-set search over bounded words.
+# the exact fooling-set search over the reduced automaton matrix.
 SEARCH = "search"
 
 
@@ -438,7 +397,8 @@ def formula_value(op: Operation, m: int, n: int | None) -> int:
 def certify(op: Operation, m: int, n: int | None = None, seed: int = 0) -> ComplexityReport:
     """Build witnesses, apply the construction, and certify the result's
     state complexity against the per-operation formula.  Unary operations
-    ignore ``n``."""
+    ignore ``n``.  ``seed`` is still accepted but has no effect: the
+    fooling-set search is exact and deterministic."""
     spec = OPERATIONS[op]
     if not spec.binary:
         n = None
@@ -456,7 +416,7 @@ def certify(op: Operation, m: int, n: int | None = None, seed: int = 0) -> Compl
         fs = paper_fooling_set(spec.lower, m, n)
         fs = fs if verify_fooling_set(result, fs) else None
     elif spec.lower == SEARCH:
-        fs = search_fooling_set(result, max_word_len=m + 3, target_size=m, seed=seed)
+        fs = search_fooling_set(result)
     lower = len(fs) if fs else 0
     return ComplexityReport(
         op, m, n, result.state_count, lower,

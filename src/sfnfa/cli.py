@@ -207,7 +207,8 @@ def nsc(automaton, max_states):
 @click.option("--m", "m", type=int, required=True)
 @click.option("--n", "n", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=0,
+              help="accepted for compatibility; has no effect")
 def certify_cmd(operation, m, n, as_json, seed):
     """Certify one operation at (m, n): construction vs. lower bound."""
     try:
@@ -255,7 +256,8 @@ def _verdict(report) -> str:
 @click.option("--n", "n_range", default=None, help="range A..B (binary ops)")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=0,
+              help="accepted for compatibility; has no effect")
 def table(m_range, n_range, fmt, seed):
     """Certification table across parameter ranges, in the order of the
     summary table (catenation, union, intersection, star, reversal,
@@ -273,6 +275,9 @@ def table(m_range, n_range, fmt, seed):
             for n in n_values:
                 try:
                     report = certify(operation, m, n, seed=seed)
+                except SearchBudgetExceeded as exc:
+                    click.echo(f"error: {exc}", err=True)
+                    sys.exit(2)
                 except CertificateError as exc:
                     _fail_certificate(exc)
                 if spec.expects_tight and not report.tight:

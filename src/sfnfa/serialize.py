@@ -5,9 +5,9 @@ Document shape (keys in exactly this order)::
     {"alphabet": ["a", "b"], "states": N, "start": i, "finals": [..],
      "transitions": [[src, "a"|"~", dst], ...]}
 
-``"~"`` encodes a lambda edge.  Transitions are sorted by
-``(src, symbol-label, dst)`` and finals ascending, so emission is
-byte-deterministic and round-trips exactly.
+``"~"`` encodes a lambda edge, so it is not allowed as an alphabet label.
+Transitions are sorted by ``(src, symbol-label, dst)`` and finals
+ascending, so emission is byte-deterministic and round-trips exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ def to_document(a: Nfa | Dfa) -> dict:
     if isinstance(a, Dfa):
         a = dfa_to_nfa(a)
     labels = a.alphabet.labels
+    if LAMBDA_LABEL in labels:
+        raise ValueError(f"alphabet label {LAMBDA_LABEL!r} is reserved for lambda edges")
     triples = sorted(
         (src, LAMBDA_LABEL if sym is None else labels[sym], dst)
         for src, sym, dst in a.transitions
@@ -56,6 +58,8 @@ def from_document(doc) -> Nfa:
         alpha = Alphabet(tuple(doc["alphabet"]))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad alphabet: {exc}") from exc
+    if LAMBDA_LABEL in alpha.labels:
+        raise ParseError(f"bad alphabet: {LAMBDA_LABEL!r} is reserved for lambda edges")
     # type(v) is int rejects bools and floats, which isinstance would not.
     states, start, finals = doc["states"], doc["start"], doc["finals"]
     if type(states) is not int or states <= 0:

@@ -1,0 +1,123 @@
+"""Test oracle: fooling-set search over bounded words.
+
+The package's former search, kept as an independent reference for the exact
+search over the reduced automaton matrix.  Candidates are all splits (x, w)
+of accepted words of length at most ``max_word_len``.  Two candidates are
+compatible when at least one cross product leaves the language; a clique of
+compatible candidates is a fooling set.  Clique search is exact (bitmask
+branch and bound) up to 24 candidates and seeded-greedy with restarts above.
+"""
+
+from __future__ import annotations
+
+import random
+
+from sfnfa.automata import Nfa, enumerate_words, word_masks
+from sfnfa.bounds import FoolingSet, verify_fooling_set
+
+CANDIDATE_CAP = 16384
+EXACT_CLIQUE_NODES = 24
+
+
+def bounded_word_fooling_set(
+    a: Nfa,
+    max_word_len: int,
+    target_size: int,
+    seed: int = 0,
+    restarts: int = 64,
+) -> FoolingSet | None:
+    """A fooling set of at least ``target_size`` pairs over words of length
+    at most ``max_word_len``, or None if the search finds none."""
+    if target_size < 1:
+        raise ValueError("target_size must be at least 1")
+    cands = []
+    seen = set()
+    for w in enumerate_words(a, max_word_len):
+        for i in range(len(w) + 1):
+            pair = (w[:i], w[i:])
+            if pair not in seen:
+                seen.add(pair)
+                cands.append(pair)
+    if len(cands) > CANDIDATE_CAP:
+        raise ValueError(f"{len(cands)} candidate pairs exceed the search cap")
+    if not cands:
+        return None
+
+    # Group candidates by forward and by backward mask.  S[f] holds the j
+    # with x w_j in L for any x of mask f, T[b] the j with x_j w in L for
+    # any w of mask b; classes partition the candidates, so sum is union.
+    # i and j are compatible unless j is in S[f_i] & T[b_i], which always
+    # holds i itself, since x_i w_i is in L.
+    fwd, bwd = word_masks(a)
+    nc = len(cands)
+    f_of = [fwd(x) for x, _ in cands]
+    b_of = [bwd(w) for _, w in cands]
+    f_class: dict[int, int] = {}
+    b_class: dict[int, int] = {}
+    for j in range(nc):
+        f_class[f_of[j]] = f_class.get(f_of[j], 0) | 1 << j
+        b_class[b_of[j]] = b_class.get(b_of[j], 0) | 1 << j
+    S = {f: sum(js for b, js in b_class.items() if f & b) for f in f_class}
+    T = {b: sum(js for f, js in f_class.items() if f & b) for b in b_class}
+    full = (1 << nc) - 1
+    adj = [full & ~(S[f_of[i]] & T[b_of[i]]) for i in range(nc)]
+
+    if nc <= EXACT_CLIQUE_NODES:
+        best = _clique_exact(adj)
+    else:
+        best = _clique_greedy(adj, target_size, seed, restarts)
+    if len(best) < target_size:
+        return None
+    fs = FoolingSet(
+        tuple((a.alphabet.text(cands[i][0]), a.alphabet.text(cands[i][1])) for i in sorted(best))
+    )
+    if not verify_fooling_set(a, fs):
+        raise AssertionError("the oracle produced an unverifiable fooling set")
+    return fs
+
+
+def _clique_exact(adj: list[int]) -> list[int]:
+    best: list[int] = []
+
+    def expand(clique: list[int], cand_mask: int) -> None:
+        nonlocal best
+        if len(clique) > len(best):
+            best = list(clique)
+        m = cand_mask
+        while m:
+            if len(clique) + m.bit_count() <= len(best):
+                return
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            expand(clique + [v], cand_mask & adj[v] & ~((1 << (v + 1)) - 1))
+
+    expand([], (1 << len(adj)) - 1)
+    return best
+
+
+def _clique_greedy(adj, target_size, seed, restarts) -> list[int]:
+    n = len(adj)
+    rng = random.Random(seed)
+    degree_order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    best: list[int] = []
+
+    def orders():
+        yield degree_order
+        for _ in range(restarts):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield perm
+
+    for order in orders():
+        for start in order[: min(n, 64)]:
+            clique = [start]
+            mask = adj[start]
+            for v in order:
+                if mask >> v & 1:
+                    clique.append(v)
+                    mask &= adj[v]
+            if len(clique) > len(best):
+                best = clique
+            if len(best) >= target_size:
+                return best
+    return best

@@ -102,7 +102,7 @@ def test_criterion_4_star_tightness():
 
 
 def test_criterion_5_reversal():
-    with _Budget("5: reversal m+1 states, enumeration flips, lower >= m", 10.0):
+    with _Budget("5: reversal m+1 states, enumeration flips, lower == m", 10.0):
         for m in range(4, 8):
             w = build(WitnessSpec(Family.REVERSAL, m))
             rev = reverse_nfa(w)
@@ -112,8 +112,8 @@ def test_criterion_5_reversal():
                 key=lambda t: (len(t), t),
             )
             assert enumerate_words(rev, m + 6) == expected
-            fs = search_fooling_set(rev, max_word_len=m + 3, target_size=m)
-            assert fs is not None and len(fs) >= m
+            fs = search_fooling_set(rev)
+            assert fs is not None and len(fs) == m
             assert verify_fooling_set(rev, fs)
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfnfa import bounds
 from sfnfa.automata import alphabet, empty_nfa, lambda_nfa, make_nfa
@@ -16,8 +17,16 @@ from sfnfa.bounds import (
     verify_fooling_set,
 )
 from sfnfa.constructions import concat_sf, intersect_sf, reverse_nfa, star_sf, union_sf
-from sfnfa.errors import BudgetExceeded, CertificateError, ParameterOutOfRange
+from sfnfa.errors import (
+    BudgetExceeded,
+    CertificateError,
+    ParameterOutOfRange,
+    SearchBudgetExceeded,
+)
 from sfnfa.witnesses import Family, WitnessSpec, build
+
+from conftest import random_nfa, random_non_returning_nfa
+from fooling_oracle import bounded_word_fooling_set
 
 
 class TestVerifyFoolingSet:
@@ -99,34 +108,75 @@ class TestPaperFoolingSet:
 class TestSearchFoolingSet:
     def test_finds_certificate_for_lemma_l1(self):
         w = build(WitnessSpec(Family.LEMMA_L1, 3))
-        fs = search_fooling_set(w, max_word_len=4, target_size=3)
+        fs = search_fooling_set(w)
         assert fs is not None and len(fs) >= 3
         assert verify_fooling_set(w, fs)
 
     def test_lambda_language_has_no_two_set(self):
-        assert search_fooling_set(lambda_nfa(alphabet("ab")), 4, 2) is None
+        fs = search_fooling_set(lambda_nfa(alphabet("ab")))
+        assert fs == FoolingSet((("", ""),))
+
+    def test_empty_language_has_none(self):
+        assert search_fooling_set(empty_nfa(alphabet("ab"))) is None
+        assert search_fooling_set(make_nfa(2, "ab", 0, [1], [(1, "a", 1)])) is None
 
     def test_reversed_reversal_witness(self):
         w = build(WitnessSpec(Family.REVERSAL, 4))
         rev = reverse_nfa(w)
-        fs = search_fooling_set(rev, max_word_len=8, target_size=4)
-        assert fs is not None and len(fs) >= 4
+        fs = search_fooling_set(rev)
+        assert fs == FoolingSet((("", "bd"), ("a", "d"), ("c", "cd"), ("d", "")))
         assert verify_fooling_set(rev, fs)
 
-    def test_deterministic_for_fixed_seed(self):
-        w = build(WitnessSpec(Family.REVERSAL, 5))
-        rev = reverse_nfa(w)
-        a = search_fooling_set(rev, 8, 5, seed=0)
-        b = search_fooling_set(rev, 8, 5, seed=0)
-        assert a == b
+    @pytest.mark.parametrize("m", range(4, 11))
+    def test_reversal_maximum_is_exactly_m(self, m):
+        # The search is exact, so this also proves that the reversed
+        # witness has no fooling set of m + 1 pairs.
+        rev = reverse_nfa(build(WitnessSpec(Family.REVERSAL, m)))
+        assert len(search_fooling_set(rev)) == m
 
+    def test_deterministic_for_fixed_seed(self):
+        rev = reverse_nfa(build(WitnessSpec(Family.REVERSAL, 5)))
+        assert search_fooling_set(rev) == search_fooling_set(rev)
+        # certify still takes a seed, which no longer has any effect.
+        report = certify(Operation.REVERSAL, 5, seed=0)
+        assert certify(Operation.REVERSAL, 5, seed=7) == report
+        assert report.fooling_set == search_fooling_set(rev)
+
+    def test_cell_cap(self):
+        # Reversal at m has m + 5 cells.  The cap admits 512 cells, whose
+        # clique of 507 recurses that deep; one more cell is refused before
+        # any recursion.
+        rev = reverse_nfa(build(WitnessSpec(Family.REVERSAL, 507)))
+        assert len(search_fooling_set(rev)) == 507
+        for m in (508, 1000):
+            rev = reverse_nfa(build(WitnessSpec(Family.REVERSAL, m)))
+            with pytest.raises(SearchBudgetExceeded):
+                search_fooling_set(rev)
+
+    def test_useless_states_do_not_count_against_the_cap(self):
+        # {λ} behind a chain of 600 states that reach no final state.
+        chain = make_nfa(600, "ab", 0, [0], [(q, "a", q + 1) for q in range(599)])
+        assert search_fooling_set(chain) == FoolingSet((("", ""),))
 
     def test_failed_recheck_raises(self, monkeypatch):
         # The re-check is an explicit raise, so it also runs under python -O.
         monkeypatch.setattr(bounds, "verify_fooling_set", lambda a, p: False)
         w = build(WitnessSpec(Family.LEMMA_L1, 3))
         with pytest.raises(CertificateError):
-            search_fooling_set(w, max_word_len=6, target_size=3)
+            search_fooling_set(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans())
+def test_search_between_bounded_word_oracle_and_nsc(seed, returning):
+    rng = random.Random(seed)
+    a = (random_nfa if returning else random_non_returning_nfa)(rng)
+    fs = search_fooling_set(a)
+    size = len(fs) if fs else 0
+    # No fooling set over words of length <= 5 beats the exact maximum.
+    assert bounded_word_fooling_set(a, 5, target_size=size + 1) is None
+    k = nsc_exhaustive(a, 3)
+    assert k is None or size <= k
 
 
 class TestNscExhaustive:
@@ -156,11 +206,9 @@ class TestNscExhaustive:
 
     def test_never_below_verified_fooling_set(self):
         rng = random.Random(31)
-        from conftest import random_non_returning_nfa
-
         for _ in range(10):
             a = random_non_returning_nfa(rng, max_states=3)
-            fs = search_fooling_set(a, max_word_len=4, target_size=1)
+            fs = search_fooling_set(a)
             k = nsc_exhaustive(a, 3)
             if fs is not None and k is not None:
                 assert k >= len(fs)

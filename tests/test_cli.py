@@ -9,6 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from sfnfa import bounds
 from sfnfa.cli import main
+from sfnfa.errors import SearchBudgetExceeded
 from sfnfa.serialize import dump, from_json, to_document, to_json
 from sfnfa.witnesses import Family, WitnessSpec, build
 from sfnfa.automata import make_nfa
@@ -62,6 +63,14 @@ class TestCheck:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         assert runner.invoke(main, ["check", str(path)]).exit_code == 2
+
+    def test_lambda_label_in_alphabet_exit_2(self, runner, tmp_path):
+        path = tmp_path / "tilde.json"
+        path.write_text(json.dumps({"alphabet": ["~", "b"], "states": 2, "start": 0,
+                                    "finals": [1], "transitions": [[0, "~", 1]]}))
+        result = runner.invoke(main, ["check", str(path)])
+        assert result.exit_code == 2
+        assert "reserved for lambda edges" in result.output
 
 
 class TestOp:
@@ -254,14 +263,34 @@ class TestCertifyTable:
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_table_golden(self, runner, fmt):
-        # json was captured before the fooling-set search moved to state
-        # masks, csv and text before the operation registry.
+        # csv and text were captured before the operation registry, json
+        # too except for reversal's fooling sets, which come from the exact
+        # search over the reduced automaton matrix.
         golden = Path(__file__).parent / "fixtures" / f"table_m2-8_n2-8_seed0.{fmt}"
         result = runner.invoke(
             main, ["table", "--m", "2..8", "--n", "2..8", "--format", fmt, "--seed", "0"]
         )
         assert result.exit_code == 0
         assert result.output == golden.read_text(encoding="utf-8")
+
+    def test_certify_reversal_m200(self, runner):
+        result = runner.invoke(main, ["certify", "reversal", "--m", "200"])
+        assert result.exit_code == 0
+        assert "constructed=201 lower_bound=200" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["certify", "reversal", "--m", "4"],
+        ["table", "--m", "4..4"],
+    ])
+    def test_search_budget_exceeded_exit_2(self, runner, monkeypatch, args):
+        def over_budget(*args, **kwargs):
+            raise SearchBudgetExceeded("too many cells", best_size=1)
+
+        monkeypatch.setattr(bounds, "search_fooling_set", over_budget)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "error: too many cells" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("args", [
         ["certify", "reversal", "--m", "4"],
@@ -384,7 +413,10 @@ def test_fuzzed_inputs_exit_with_documented_codes(first, second, argv):
         paths["A"].write_bytes(first)
         paths["B"].write_bytes(second)
         args = [str(paths[arg]) if arg in paths else arg for arg in argv]
-        result = CliRunner().invoke(main, args)
+        runner = CliRunner()
+        # A drawn token such as "-o --bogus" names a relative output file.
+        with runner.isolated_filesystem(temp_dir=tmp):
+            result = runner.invoke(main, args)
     event(f"exit {result.exit_code}")
     assert result.exit_code in {0, 1, 2, 3}, (args, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (

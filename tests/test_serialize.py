@@ -30,6 +30,20 @@ def test_round_trip_100_random_nfas_byte_identical():
         assert from_json(twice) == from_json(once)
 
 
+def test_lambda_label_cannot_be_a_symbol():
+    # A "~" symbol edge would be read back as a lambda edge, so neither
+    # direction accepts "~" as an alphabet label.
+    a = make_nfa(2, "~b", 0, [1], [(0, "~", 1)])
+    with pytest.raises(ValueError, match="reserved for lambda edges"):
+        to_json(a)
+    doc = {"alphabet": ["~", "b"], "states": 2, "start": 0, "finals": [1],
+           "transitions": [[0, "~", 1]]}
+    with pytest.raises(ParseError, match="reserved for lambda edges"):
+        from_json(json.dumps(doc))
+    b = make_nfa(2, "ab", 0, [1], [(0, None, 1), (0, "a", 1)])
+    assert from_json(to_json(b)) == b
+
+
 def test_dfa_serializes_through_nfa_schema():
     d = complement_sf(build(WitnessSpec(Family.LEMMA_L1, 3)))
     doc = to_document(d)
