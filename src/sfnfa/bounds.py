@@ -265,9 +265,14 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     """Least k <= max_states with a k-state lambda-free NFA equivalent to
     L(a), by exhaustive enumeration with start fixed at state 0.
 
-    Candidate tables are filtered against all words of length <= 2k by the
-    depth-first table search, then survivors get a full
-    determinize-and-minimize equivalence check.
+    Two such NFAs are already at hand: the trimmed lambda-free input, and
+    the canonical DFA without its dead state.  The search stops at the
+    smaller of their sizes, so only smaller sizes are enumerated and an
+    input that is already minimal never has its own size searched.  Below
+    that, candidate tables are filtered against all words of length <= 2k
+    by the depth-first table search, then survivors get a full
+    determinize-and-minimize equivalence check.  The table budget is
+    checked at every k up to and including the stop.
     """
     sigma = a.alphabet.size
     ceiling = _default_ceiling(sigma)
@@ -277,9 +282,13 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
             f"{sigma}-symbol alphabet"
         )
     target = canonical_dfa(a)
+    live = max(target.state_count - (target.sink is not None), 1)
+    known = min(trim(remove_lambda(a)).state_count, live)
     for k in range(1, max_states + 1):
         if (1 << k) ** (k * sigma) > _TABLE_BUDGET:
             raise BudgetExceeded(f"table space for k={k} exceeds the budget")
+        if k == known:
+            return k
         parents, symbols, node_words = _sample_trie(sigma, 2 * k)
         labels = [accepts(a, w) for w in node_words]
         survivors = _kernel.filter_tables(k, sigma, parents, symbols, labels)

@@ -14,7 +14,7 @@ import sys
 import click
 
 from . import serialize
-from .automata import enumerate_words, remove_lambda
+from .automata import Nfa, enumerate_words, remove_lambda
 from .bounds import (
     OPERATIONS,
     FoolingSet,
@@ -35,7 +35,7 @@ from .errors import (
     SuffixFreeViolation,
 )
 from .suffixfree import is_non_returning, is_suffix_free
-from .witnesses import Family, WitnessSpec, build
+from .witnesses import Family, WitnessSpec, layout
 
 
 def _load(path):
@@ -145,16 +145,21 @@ def op(name, inputs, output, dot_path, strict):
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="write to a file instead of stdout")
 def witness(family, m, n, output):
-    """Emit a witness automaton (pair families emit a JSON array)."""
+    """Emit a witness automaton (pair families emit a JSON array).  A
+    witness too large to load back is refused with exit 2."""
     try:
-        result = build(WitnessSpec(Family(family), m, n))
-    except ParameterOutOfRange as exc:
+        spec = WitnessSpec(Family(family), m, n)
+        # Each family has m (and n) states over at least one symbol, so this
+        # refuses an m beyond the load limits before transitions are built.
+        serialize.check_limits(max(m, n or 0), 1)
+        shapes = layout(spec)
+        for states, alpha, _, _, transitions in shapes:
+            serialize.check_limits(states, alpha.size, transitions)
+    except (ParameterOutOfRange, ParseError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    if isinstance(result, tuple):
-        text = json.dumps([serialize.to_document(a) for a in result])
-    else:
-        text = serialize.to_json(result)
+    docs = [serialize.to_document(Nfa(*args)) for args in shapes]
+    text = json.dumps(docs if spec.family.is_pair else docs[0])
     if output:
         serialize.write_text_atomic(output, text + "\n")
     else:

@@ -48,6 +48,17 @@ def to_json(a: Nfa | Dfa) -> str:
     return json.dumps(to_document(a))
 
 
+def check_limits(states: int, alphabet_size: int, transitions=()) -> None:
+    """Raise ParseError when an automaton of this size is beyond what
+    ``from_document`` loads: more than MAX_CELLS (state, symbol) rows, or
+    successor masks of more than MAX_MASK_BITS bits (``dst + 1`` summed over
+    the distinct transitions)."""
+    if states * max(alphabet_size, 1) > MAX_CELLS:
+        raise ParseError(f"states × alphabet size must be at most {MAX_CELLS}")
+    if sum(dst + 1 for _, _, dst in transitions if 0 <= dst < states) > MAX_MASK_BITS:
+        raise ParseError(f"the successor masks would exceed {MAX_MASK_BITS} bits")
+
+
 def from_document(doc) -> Nfa:
     if not isinstance(doc, dict):
         raise ParseError("automaton document must be a JSON object")
@@ -64,8 +75,7 @@ def from_document(doc) -> Nfa:
     states, start, finals = doc["states"], doc["start"], doc["finals"]
     if type(states) is not int or states <= 0:
         raise ParseError("states must be a positive integer")
-    if states * max(alpha.size, 1) > MAX_CELLS:
-        raise ParseError(f"states × alphabet size must be at most {MAX_CELLS}")
+    check_limits(states, alpha.size)
     if type(start) is not int:
         raise ParseError("start must be an integer")
     if type(finals) is not list or any(type(q) is not int for q in finals):
@@ -88,8 +98,7 @@ def from_document(doc) -> Nfa:
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
         trans.add((src, sym, dst))
-    if sum(dst + 1 for _, _, dst in trans if 0 <= dst < states) > MAX_MASK_BITS:
-        raise ParseError(f"the successor masks would exceed {MAX_MASK_BITS} bits")
+    check_limits(states, alpha.size, trans)
     try:
         return Nfa(states, alpha, start, frozenset(finals), frozenset(trans))
     except (TypeError, ValueError) as exc:

@@ -68,21 +68,21 @@ class WitnessSpec:
             raise ParameterOutOfRange(f"{f.value} takes no n parameter")
 
 
-def _symbol_then_cycle(m: int, alpha: Alphabet, first: int, loop: int) -> Nfa:
+def _symbol_then_cycle(m: int, alpha: Alphabet, first: int, loop: int) -> tuple:
     """NFA for first . (loop^(m-1))*: one ``first`` edge into an m-1 cycle
     of ``loop`` edges whose entry state is final."""
     trans = {(0, first, 1)}
     cycle = m - 1
     for i in range(cycle):
         trans.add((1 + i, loop, 1 + (i + 1) % cycle))
-    return Nfa(m, alpha, 0, frozenset({1}), frozenset(trans))
+    return m, alpha, 0, frozenset({1}), frozenset(trans)
 
 
-def _lemma_l1(m: int) -> Nfa:
+def _lemma_l1(m: int) -> tuple:
     return _symbol_then_cycle(m, alphabet("ab"), first=1, loop=0)  # b (a^(m-1))*
 
 
-def _lemma_l2(m: int) -> Nfa:
+def _lemma_l2(m: int) -> tuple:
     # b (a^(m-2))* b: b into a cycle of length m-2, b out to the final.
     alpha = alphabet("ab")
     b, a = 1, 0
@@ -90,10 +90,10 @@ def _lemma_l2(m: int) -> Nfa:
     cycle = m - 2
     for i in range(cycle):
         trans.add((1 + i, a, 1 + (i + 1) % cycle))
-    return Nfa(m, alpha, 0, frozenset({m - 1}), frozenset(trans))
+    return m, alpha, 0, frozenset({m - 1}), frozenset(trans)
 
 
-def _counter_after_c(m: int, counted: int, other: int) -> Nfa:
+def _counter_after_c(m: int, counted: int, other: int) -> tuple:
     """NFA for {c w | w over {a,b}, #counted(w) = 0 mod m-1}."""
     alpha = alphabet("abc")
     c = 2
@@ -103,17 +103,17 @@ def _counter_after_c(m: int, counted: int, other: int) -> Nfa:
         state = 1 + i
         trans.add((state, counted, 1 + (i + 1) % cycle))
         trans.add((state, other, state))
-    return Nfa(m, alpha, 0, frozenset({1}), frozenset(trans))
+    return m, alpha, 0, frozenset({1}), frozenset(trans)
 
 
-def _chain(m: int) -> Nfa:
+def _chain(m: int) -> tuple:
     # The singleton {a^(m-1)} over the unary alphabet.
     alpha = alphabet("a")
     trans = {(i, 0, i + 1) for i in range(m - 1)}
-    return Nfa(m, alpha, 0, frozenset({m - 1}), frozenset(trans))
+    return m, alpha, 0, frozenset({m - 1}), frozenset(trans)
 
 
-def _reversal_witness(m: int) -> Nfa:
+def _reversal_witness(m: int) -> tuple:
     # d (a^(m-3))* (b* + c*) over {a,b,c,d}: d into an a-cycle of length
     # m-3, whose entry can leave into a b-loop or a c-loop state.
     alpha = alphabet("abcd")
@@ -123,10 +123,10 @@ def _reversal_witness(m: int) -> Nfa:
     trans = {(0, d, 1), (1, b, p_b), (p_b, b, p_b), (1, c, p_c), (p_c, c, p_c)}
     for i in range(cycle):
         trans.add((1 + i, a, 1 + (i + 1) % cycle))
-    return Nfa(m, alpha, 0, frozenset({1, p_b, p_c}), frozenset(trans))
+    return m, alpha, 0, frozenset({1, p_b, p_c}), frozenset(trans)
 
 
-def _default_complement_core(m: int) -> Nfa:
+def _default_complement_core(m: int) -> tuple:
     # m-1 states over {a,b}: a-count = 0 mod m-1, b free.  A stand-in for
     # the external hard-to-complement binary family; it lets the pipeline
     # run end to end but claims nothing about the 2^(m-1)-1 lower bound.
@@ -136,37 +136,39 @@ def _default_complement_core(m: int) -> Nfa:
     for i in range(cycle):
         trans.add((i, 0, (i + 1) % cycle))
         trans.add((i, 1, i))
-    return Nfa(cycle, alpha, 0, frozenset({0}), frozenset(trans))
+    return cycle, alpha, 0, frozenset({0}), frozenset(trans)
 
 
-def _complement_prefixed(m: int, inner: Nfa | None) -> Nfa:
-    core = inner if inner is not None else _default_complement_core(m)
-    if core.alphabet.labels != ("a", "b"):
-        raise ParameterOutOfRange("complement-prefixed core must be over {a, b}")
-    if core.has_lambda:
-        raise ParameterOutOfRange("complement-prefixed core must be lambda-free")
-    alpha = alphabet("abc")
+def _complement_prefixed(m: int, inner: Nfa | None) -> tuple:
+    if inner is None:
+        core = _default_complement_core(m)
+    else:
+        if inner.alphabet.labels != ("a", "b"):
+            raise ParameterOutOfRange("complement-prefixed core must be over {a, b}")
+        if inner.has_lambda:
+            raise ParameterOutOfRange("complement-prefixed core must be lambda-free")
+        core = (inner.state_count, inner.alphabet, inner.start, inner.finals,
+                inner.transitions)
+    states, _, start, finals, transitions = core
     offset = 1
-    trans = {(src + offset, sym, dst + offset) for src, sym, dst in core.transitions}
-    trans.add((0, 2, core.start + offset))  # the prefixing c edge
-    finals = frozenset(q + offset for q in core.finals)
-    return Nfa(core.state_count + 1, alpha, 0, finals, frozenset(trans))
+    trans = {(src + offset, sym, dst + offset) for src, sym, dst in transitions}
+    trans.add((0, 2, start + offset))  # the prefixing c edge
+    return (states + 1, alphabet("abc"), 0, frozenset(q + offset for q in finals),
+            frozenset(trans))
 
 
-def build(spec: WitnessSpec):
-    """Instantiate a witness family; pair families return a 2-tuple."""
+def layout(spec: WitnessSpec) -> tuple[tuple, ...]:
+    """The ``Nfa`` arguments (states, alphabet, start, finals, transitions)
+    of each automaton of a witness family, one per operand, so that a
+    caller can check their size before any successor mask is allocated."""
     f, m, n = spec.family, spec.m, spec.n
-    if f is Family.LEMMA_L1:
-        return _lemma_l1(m)
+    if f in (Family.LEMMA_L1, Family.STAR):
+        return (_lemma_l1(m),)
     if f is Family.LEMMA_L2:
-        return _lemma_l2(m)
-    if f is Family.STAR:
-        return _lemma_l1(m)
+        return (_lemma_l2(m),)
     if f is Family.UNION_PAIR:
         # b (a^(m-1))* and its letter-swapped twin a (b^(n-1))*.
-        left = _lemma_l1(m)
-        right = _symbol_then_cycle(n, alphabet("ab"), first=0, loop=1)
-        return left, right
+        return _lemma_l1(m), _symbol_then_cycle(n, alphabet("ab"), first=0, loop=1)
     if f is Family.CONCAT_PAIR:
         return _chain(m), _chain(n)
     if f is Family.INTERSECT_PAIR:
@@ -174,7 +176,13 @@ def build(spec: WitnessSpec):
             n, counted=1, other=0
         )
     if f is Family.REVERSAL:
-        return _reversal_witness(m)
+        return (_reversal_witness(m),)
     if f is Family.COMPLEMENT_PREFIXED:
-        return _complement_prefixed(m, spec.inner)
+        return (_complement_prefixed(m, spec.inner),)
     raise ParameterOutOfRange(f"unknown family: {f}")
+
+
+def build(spec: WitnessSpec):
+    """Instantiate a witness family; pair families return a 2-tuple."""
+    made = tuple(Nfa(*args) for args in layout(spec))
+    return made if spec.family.is_pair else made[0]

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfnfa import bounds
+from sfnfa import _kernel, bounds
 from sfnfa.automata import alphabet, empty_nfa, lambda_nfa, make_nfa
 from sfnfa.bounds import (
     FoolingFamily,
@@ -27,6 +27,7 @@ from sfnfa.witnesses import Family, WitnessSpec, build
 
 from conftest import random_nfa, random_non_returning_nfa
 from fooling_oracle import bounded_word_fooling_set
+from nsc_oracle import nsc_without_stop
 
 
 class TestVerifyFoolingSet:
@@ -212,6 +213,90 @@ class TestNscExhaustive:
             k = nsc_exhaustive(a, 3)
             if fs is not None and k is not None:
                 assert k >= len(fs)
+
+
+def _nsc_outcome(search, a, max_states):
+    try:
+        return search(a, max_states)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["ab", "abc"]), st.booleans(),
+       st.integers(1, 3))
+def test_nsc_matches_search_without_stop(seed, labels, returning, max_states):
+    rng = random.Random(seed)
+    if returning:
+        a = random_nfa(rng, labels=labels, lambda_prob=0.2)
+    else:
+        a = random_non_returning_nfa(rng, labels=labels)
+    assert (_nsc_outcome(nsc_exhaustive, a, max_states)
+            == _nsc_outcome(nsc_without_stop, a, max_states))
+
+
+def _nsc_fixed_cases():
+    """The criterion-7 witnesses, two m=4 witnesses beyond a k=3 search,
+    {λ}, the empty language, and a 12-letter alphabet whose k=2 table
+    space exceeds the budget."""
+    cases = []
+    for m in (2, 3):
+        cases.append(build(WitnessSpec(Family.LEMMA_L1, m)))
+        cases.append(star_sf(build(WitnessSpec(Family.STAR, m))))
+    cases.append(build(WitnessSpec(Family.LEMMA_L2, 3)))
+    cases.append(union_sf(*build(WitnessSpec(Family.UNION_PAIR, 2, 2))))
+    cases.append(concat_sf(*build(WitnessSpec(Family.CONCAT_PAIR, 2, 2))))
+    cases.append(build(WitnessSpec(Family.LEMMA_L1, 4)))
+    cases.append(build(WitnessSpec(Family.LEMMA_L2, 4)))
+    cases.append(lambda_nfa(alphabet("ab")))
+    cases.append(empty_nfa(alphabet("ab")))
+    cases.append(make_nfa(2, "abcdefghijkl", 0, [1], [(0, "a", 1)]))
+    cases.append(lambda_nfa(alphabet("abcdefghijkl")))
+    return cases
+
+
+@pytest.mark.parametrize("max_states", [1, 2, 3])
+def test_nsc_fixed_cases_match_search_without_stop(max_states):
+    outcomes = []
+    for a in _nsc_fixed_cases():
+        got = _nsc_outcome(nsc_exhaustive, a, max_states)
+        assert got == _nsc_outcome(nsc_without_stop, a, max_states)
+        outcomes.append(got)
+    if max_states == 3:
+        assert outcomes == [2, 2, 3, 3, 3, 3, 3, None, None, 1, 1,
+                            BudgetExceeded, BudgetExceeded]
+    if max_states == 2:
+        assert outcomes[-2:] == [BudgetExceeded, 1]
+
+
+class TestNscStop:
+    """The search stops at the size of an NFA it already holds: the trimmed
+    input, or the canonical DFA without its dead state."""
+
+    @staticmethod
+    def searched(monkeypatch, a, max_states):
+        sizes = []
+        real = _kernel.filter_tables
+
+        def recording(k, *args, **kwargs):
+            sizes.append(k)
+            return real(k, *args, **kwargs)
+
+        monkeypatch.setattr(_kernel, "filter_tables", recording)
+        return nsc_exhaustive(a, max_states), sizes
+
+    def test_minimal_input_never_searches_its_own_size(self, monkeypatch):
+        w = build(WitnessSpec(Family.LEMMA_L1, 3))
+        assert self.searched(monkeypatch, w, 3) == (3, [1, 2])
+
+    def test_beyond_the_ceiling_searches_every_size(self, monkeypatch):
+        w = build(WitnessSpec(Family.LEMMA_L1, 4))
+        assert self.searched(monkeypatch, w, 3) == (None, [1, 2, 3])
+
+    def test_stops_at_the_live_states_of_the_minimal_dfa(self, monkeypatch):
+        # b a* on three trim states; its minimal DFA has 2 live states.
+        a = make_nfa(3, "ab", 0, [1, 2], [(0, "b", 1), (1, "a", 2), (2, "a", 2)])
+        assert self.searched(monkeypatch, a, 3) == (2, [1])
 
 
 class TestCertify:

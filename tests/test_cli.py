@@ -1,15 +1,16 @@
 import json
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import event, given, settings, strategies as st
 
-from sfnfa import bounds
+from sfnfa import bounds, serialize
 from sfnfa.cli import main
-from sfnfa.errors import SearchBudgetExceeded
+from sfnfa.errors import ParseError, SearchBudgetExceeded
 from sfnfa.serialize import dump, from_json, to_document, to_json
 from sfnfa.witnesses import Family, WitnessSpec, build
 from sfnfa.automata import make_nfa
@@ -184,6 +185,29 @@ class TestWitnessCmd:
 
     def test_out_of_range_exit_2(self, runner):
         assert runner.invoke(main, ["witness", "reversal", "--m", "3"]).exit_code == 2
+
+    @pytest.mark.parametrize("m", [131073, 2**20 + 1, 10**12])
+    def test_beyond_the_load_limits_exit_2_at_once(self, runner, m):
+        # At m = 131073 the masks alone would take over a gigabyte.
+        t0 = time.perf_counter()
+        result = runner.invoke(main, ["witness", "lemma-l2", "--m", str(m)])
+        assert time.perf_counter() - t0 < 1.0
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+
+    def test_largest_accepted_witness_loads_back(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(serialize, "MAX_MASK_BITS", 300)
+        accepted = [m for m in range(3, 60)
+                    if runner.invoke(main, ["witness", "lemma-l2", "--m", str(m)]).exit_code == 0]
+        m = accepted[-1]
+        assert accepted == list(range(3, m + 1)) and m < 59
+        out = tmp_path / "w.json"
+        assert runner.invoke(main, ["witness", "lemma-l2", "--m", str(m), "-o", str(out)]).exit_code == 0
+        assert serialize.load(out) == build(WitnessSpec(Family.LEMMA_L2, m))
+        result = runner.invoke(main, ["witness", "lemma-l2", "--m", str(m + 1), "-o", str(out)])
+        assert result.exit_code == 2 and "error: " in result.output
+        with pytest.raises(ParseError):
+            from_json(to_json(build(WitnessSpec(Family.LEMMA_L2, m + 1))))
 
 
 class TestVerifyNsc:
