@@ -131,9 +131,11 @@ def paper_fooling_set(family: FoolingFamily, m: int, n: int | None = None) -> Fo
 _CELL_CAP = 512
 
 
-def search_fooling_set(a: Nfa) -> FoolingSet | None:
+def search_fooling_set(a: Nfa, *, limit: int | None = None) -> FoolingSet | None:
     """The largest fooling set of L(a) over all words, or None when L(a) is
     empty, from the reduced automaton matrix of Kameda and Weiner (1970).
+    With a ``limit`` >= 1 it returns the first set of ``limit`` pairs the
+    clique search reaches, so a set of min(limit, maximum) pairs.
 
     Rows are the state sets reachable from the start, columns the state
     sets from which a final state is reachable, each with the word that
@@ -141,7 +143,8 @@ def search_fooling_set(a: Nfa) -> FoolingSet | None:
     w, so every fooling pair lies in a cell (r, c) with r & c non-zero, and
     two cells (r_i, c_i), (r_j, c_j) are compatible unless r_i & c_j and
     r_j & c_i are both non-zero.  A maximum clique of compatible cells is a
-    maximum fooling set (Birget 1992); the clique search is exact.
+    maximum fooling set (Birget 1992); the clique search is exact.  The
+    set is re-checked by ``verify_fooling_set`` before it is returned.
     """
     t = trim(remove_lambda(a))
     # On a trim automaton every row and every column holds a cell, so more
@@ -173,17 +176,19 @@ def search_fooling_set(a: Nfa) -> FoolingSet | None:
     text = a.alphabet.text
     fs = FoolingSet(tuple(
         (text(rows[i][0]), text(cols[j][0][::-1]))  # a column's word is read backwards
-        for i, j in map(cells.__getitem__, _max_clique_exact(adj))
+        for i, j in map(cells.__getitem__, _max_clique_exact(adj, limit=limit))
     ))
     if not verify_fooling_set(a, fs):
         raise CertificateError("search produced an unverifiable fooling set")
     return fs
 
 
-def _max_clique_exact(adj: list[int]) -> list[int]:
+def _max_clique_exact(adj: list[int], *, limit: int | None = None) -> list[int]:
     """A maximum clique, ascending, by branch and bound over bitmasks; of
-    the maximum cliques it returns the first in lexicographic order."""
+    the maximum cliques it returns the first in lexicographic order.  The
+    search returns as soon as its best clique has ``limit`` members."""
     n = len(adj)
+    goal = n if limit is None else limit
     best: list[int] = []
 
     def expand(clique: list[int], cand_mask: int) -> None:
@@ -191,7 +196,7 @@ def _max_clique_exact(adj: list[int]) -> list[int]:
         if len(clique) > len(best):
             best = list(clique)
         m = cand_mask
-        while m:
+        while m and len(best) < goal:
             if len(clique) + m.bit_count() <= len(best):
                 return
             v = (m & -m).bit_length() - 1
@@ -261,6 +266,22 @@ def _final_mask_options(cells, k, s, parents, symbols, labels, f_max):
     return options
 
 
+def _fooling_floor(a: Nfa, known: int, max_states: int) -> int:
+    """The size of a verified fooling set of L(a), at most
+    min(known, max_states + 1), or 0 past the search's cell cap.  ``known``
+    is the size of an NFA for L(a), so a larger set is a contradiction."""
+    try:
+        fs = search_fooling_set(a, limit=min(known, max_states + 1))
+    except SearchBudgetExceeded:
+        return 0
+    floor = len(fs) if fs else 0
+    if floor > known:
+        raise CertificateError(
+            f"a fooling set of {floor} pairs exceeds an NFA of {known} states"
+        )
+    return floor
+
+
 def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     """Least k <= max_states with a k-state lambda-free NFA equivalent to
     L(a), by exhaustive enumeration with start fixed at state 0.
@@ -268,11 +289,16 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     Two such NFAs are already at hand: the trimmed lambda-free input, and
     the canonical DFA without its dead state.  The search stops at the
     smaller of their sizes, so only smaller sizes are enumerated and an
-    input that is already minimal never has its own size searched.  Below
-    that, candidate tables are filtered against all words of length <= 2k
-    by the depth-first table search, then survivors get a full
-    determinize-and-minimize equivalence check.  The table budget is
-    checked at every k up to and including the stop.
+    input that is already minimal never has its own size searched.  Every
+    NFA for L(a) has at least as many states as a fooling set has pairs,
+    so sizes below a verified fooling set (the floor) are skipped too.  The
+    floor is searched once, before the first k >= 2 to be enumerated, and
+    with a limit of min(stop, max_states + 1) pairs, which bounds the
+    clique search; a search over its cell cap gives no floor.  The
+    remaining sizes are enumerated: candidate tables are filtered against
+    all words of length <= 2k by the depth-first table search, then
+    survivors get a full determinize-and-minimize equivalence check.  The
+    table budget is checked at every k up to and including the stop.
     """
     sigma = a.alphabet.size
     ceiling = _default_ceiling(sigma)
@@ -284,11 +310,17 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     target = canonical_dfa(a)
     live = max(target.state_count - (target.sink is not None), 1)
     known = min(trim(remove_lambda(a)).state_count, live)
+    floor = None
     for k in range(1, max_states + 1):
         if (1 << k) ** (k * sigma) > _TABLE_BUDGET:
             raise BudgetExceeded(f"table space for k={k} exceeds the budget")
         if k == known:
             return k
+        if k >= 2:
+            if floor is None:
+                floor = _fooling_floor(a, known, max_states)
+            if k < floor:
+                continue
         parents, symbols, node_words = _sample_trie(sigma, 2 * k)
         labels = [accepts(a, w) for w in node_words]
         survivors = _kernel.filter_tables(k, sigma, parents, symbols, labels)

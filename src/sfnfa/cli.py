@@ -204,6 +204,8 @@ def nsc(automaton, max_states):
     except BudgetExceeded as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    except CertificateError as exc:
+        _fail_certificate(exc)
     click.echo("none" if result is None else str(result))
 
 

@@ -168,6 +168,29 @@ class TestSearchFoolingSet:
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.integers(1, 6))
+def test_search_with_limit_returns_min_of_limit_and_maximum(seed, returning, limit):
+    rng = random.Random(seed)
+    a = (random_nfa if returning else random_non_returning_nfa)(rng, max_states=6)
+    exact = search_fooling_set(a)
+    fs = search_fooling_set(a, limit=limit)
+    if exact is None:
+        assert fs is None
+    else:
+        assert len(fs) == min(limit, len(exact))
+        assert verify_fooling_set(a, fs)
+
+
+def test_limit_bounds_the_slow_clique_search():
+    # A 10-state NFA whose unbounded clique search takes seconds; the
+    # minimal-NFA search only asks for max_states + 1 pairs.
+    a = random_nfa(random.Random(30), max_states=10, lambda_prob=0)
+    fs = search_fooling_set(a, limit=4)
+    assert len(fs) == 4 and verify_fooling_set(a, fs)
+    assert nsc_exhaustive(a, 3) == nsc_without_stop(a, 3)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.booleans())
 def test_search_between_bounded_word_oracle_and_nsc(seed, returning):
     rng = random.Random(seed)
@@ -271,7 +294,8 @@ def test_nsc_fixed_cases_match_search_without_stop(max_states):
 
 class TestNscStop:
     """The search stops at the size of an NFA it already holds: the trimmed
-    input, or the canonical DFA without its dead state."""
+    input, or the canonical DFA without its dead state.  It skips the sizes
+    below a verified fooling set."""
 
     @staticmethod
     def searched(monkeypatch, a, max_states):
@@ -286,12 +310,19 @@ class TestNscStop:
         return nsc_exhaustive(a, max_states), sizes
 
     def test_minimal_input_never_searches_its_own_size(self, monkeypatch):
+        # k=2 lies below the 3-pair fooling-set floor as well.
         w = build(WitnessSpec(Family.LEMMA_L1, 3))
-        assert self.searched(monkeypatch, w, 3) == (3, [1, 2])
+        assert self.searched(monkeypatch, w, 3) == (3, [1])
 
-    def test_beyond_the_ceiling_searches_every_size(self, monkeypatch):
+    def test_fooling_floor_above_the_ceiling_skips_every_size_from_2(self, monkeypatch):
+        # A 4-pair fooling set: no NFA of at most 3 states exists.
         w = build(WitnessSpec(Family.LEMMA_L1, 4))
-        assert self.searched(monkeypatch, w, 3) == (None, [1, 2, 3])
+        assert self.searched(monkeypatch, w, 3) == (None, [1])
+
+    def test_past_the_cell_cap_there_is_no_floor(self, monkeypatch):
+        # {a^600} has 601 rows in its automaton matrix, over the cell cap.
+        a = make_nfa(601, "ab", 0, [600], [(q, "a", q + 1) for q in range(600)])
+        assert self.searched(monkeypatch, a, 2) == (None, [1, 2])
 
     def test_stops_at_the_live_states_of_the_minimal_dfa(self, monkeypatch):
         # b a* on three trim states; its minimal DFA has 2 live states.

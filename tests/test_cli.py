@@ -240,6 +240,14 @@ class TestVerifyNsc:
         assert result.exit_code == 0
         assert result.output.strip() == "3"
 
+    def test_nsc_failed_fooling_floor_recheck_exit_4(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(bounds, "verify_fooling_set", lambda a, p: False)
+        path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
+        result = runner.invoke(main, ["nsc", path, "--max-states", "3"])
+        assert result.exit_code == 4
+        assert "error: " in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_nsc_max_states_zero_is_usage_error(self, runner, tmp_path):
         path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
         result = runner.invoke(main, ["nsc", path, "--max-states", "0"])

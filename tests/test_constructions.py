@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sfnfa import constructions, suffixfree
+from sfnfa import bounds, constructions, suffixfree
 from sfnfa.automata import (
     LAMBDA,
     Nfa,
@@ -330,8 +330,9 @@ class TestSetTheoreticAgreement:
 
 
 class TestCertificateChecks:
-    """The theorem checks inside the constructions raise CertificateError,
-    also under ``python -O``; each is fed bad data through a helper."""
+    """The theorem checks inside the constructions, and the fooling-set
+    floor of the minimal-NFA search, raise CertificateError, also under
+    ``python -O``; each is fed bad data through a helper."""
 
     def test_mixed_start_pair(self, monkeypatch):
         a, b = build(WitnessSpec(Family.INTERSECT_PAIR, 3, 3))
@@ -370,6 +371,18 @@ class TestCertificateChecks:
                             lambda a: (SimpleNamespace(state_count=6), ()))
         with pytest.raises(CertificateError, match="above its bound 5"):
             complement_sf(w)
+
+    def test_fooling_floor_recheck(self, monkeypatch):
+        monkeypatch.setattr(bounds, "verify_fooling_set", lambda a, p: False)
+        with pytest.raises(CertificateError, match="unverifiable fooling set"):
+            bounds.nsc_exhaustive(build(WitnessSpec(Family.LEMMA_L1, 3)), 3)
+
+    def test_fooling_floor_above_the_stop(self, monkeypatch):
+        # A 4-pair set for a language with a 3-state NFA contradicts itself.
+        four = bounds.paper_fooling_set(bounds.FoolingFamily.LEMMA_L1, 4)
+        monkeypatch.setattr(bounds, "search_fooling_set", lambda a, limit=None: four)
+        with pytest.raises(CertificateError, match="4 pairs exceeds an NFA of 3 states"):
+            bounds.nsc_exhaustive(build(WitnessSpec(Family.LEMMA_L1, 3)), 3)
 
     def test_suffix_overlap_without_word(self, monkeypatch):
         monkeypatch.setattr(suffixfree, "least_word", lambda a: None)
