@@ -210,6 +210,8 @@ def _max_clique_exact(adj: list[int], *, limit: int | None = None) -> list[int]:
 # Exhaustive search ceilings: the full table space (2^k)^(k * sigma) has to
 # stay enumerable; beyond these the tool degrades to fooling sets only.
 _TABLE_BUDGET = 1 << 24
+# A table search that keeps this many survivors may have dropped some.
+_SURVIVOR_CAP = 200000
 
 
 def _default_ceiling(alphabet_size: int) -> int:
@@ -266,6 +268,26 @@ def _final_mask_options(cells, k, s, parents, symbols, labels, f_max):
     return options
 
 
+def _shortest_accepted_length(d: Dfa) -> int | None:
+    """The BFS depth of the final state nearest d's start: the length of
+    the shortest accepted word, or None for the empty language."""
+    seen = {d.start}
+    level = [d.start]
+    depth = 0
+    while level:
+        if not d.finals.isdisjoint(level):
+            return depth
+        nxt = []
+        for q in level:
+            for r in d.table[q]:
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        level = nxt
+        depth += 1
+    return None
+
+
 def _fooling_floor(a: Nfa, known: int, max_states: int) -> int:
     """The size of a verified fooling set of L(a), at most
     min(known, max_states + 1), or 0 past the search's cell cap.  ``known``
@@ -291,14 +313,19 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     smaller of their sizes, so only smaller sizes are enumerated and an
     input that is already minimal never has its own size searched.  Every
     NFA for L(a) has at least as many states as a fooling set has pairs,
-    so sizes below a verified fooling set (the floor) are skipped too.  The
-    floor is searched once, before the first k >= 2 to be enumerated, and
-    with a limit of min(stop, max_states + 1) pairs, which bounds the
-    clique search; a search over its cell cap gives no floor.  The
-    remaining sizes are enumerated: candidate tables are filtered against
-    all words of length <= 2k by the depth-first table search, then
-    survivors get a full determinize-and-minimize equivalence check.  The
-    table budget is checked at every k up to and including the stop.
+    so sizes below a verified fooling set (the floor) are skipped too.  A
+    k-state NFA with a non-empty language accepts a word of length at most
+    k - 1, so every k up to the length of the shortest accepted word, read
+    off the canonical DFA, is skipped as well.  The floor is searched once,
+    before the first k >= 2 to be enumerated, and with a limit of
+    min(stop, max_states + 1) pairs, which bounds the clique search; a
+    search over its cell cap gives no floor.  The remaining sizes are
+    enumerated: candidate tables are filtered against all words of length
+    <= 2k by the propagating table search, then survivors get a full
+    determinize-and-minimize equivalence check.  The table budget is
+    checked at every k up to and including the stop, and a table search
+    that reaches the survivor cap raises ``BudgetExceeded`` rather than
+    answer from a list that may be truncated.
     """
     sigma = a.alphabet.size
     ceiling = _default_ceiling(sigma)
@@ -310,12 +337,15 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     target = canonical_dfa(a)
     live = max(target.state_count - (target.sink is not None), 1)
     known = min(trim(remove_lambda(a)).state_count, live)
+    shortest = _shortest_accepted_length(target)
     floor = None
     for k in range(1, max_states + 1):
         if (1 << k) ** (k * sigma) > _TABLE_BUDGET:
             raise BudgetExceeded(f"table space for k={k} exceeds the budget")
         if k == known:
             return k
+        if shortest is not None and k <= shortest:
+            continue
         if k >= 2:
             if floor is None:
                 floor = _fooling_floor(a, known, max_states)
@@ -323,7 +353,14 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
                 continue
         parents, symbols, node_words = _sample_trie(sigma, 2 * k)
         labels = [accepts(a, w) for w in node_words]
-        survivors = _kernel.filter_tables(k, sigma, parents, symbols, labels)
+        survivors = _kernel.filter_tables(
+            k, sigma, parents, symbols, labels, cap=_SURVIVOR_CAP
+        )
+        if len(survivors) >= _SURVIVOR_CAP:
+            raise BudgetExceeded(
+                f"the table search for k={k} kept {_SURVIVOR_CAP} survivors, "
+                "its cap"
+            )
         for cells, f_max in survivors:
             for fmask in _final_mask_options(
                 cells, k, sigma, parents, symbols, labels, f_max

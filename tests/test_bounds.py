@@ -295,7 +295,8 @@ def test_nsc_fixed_cases_match_search_without_stop(max_states):
 class TestNscStop:
     """The search stops at the size of an NFA it already holds: the trimmed
     input, or the canonical DFA without its dead state.  It skips the sizes
-    below a verified fooling set."""
+    up to the length of the shortest accepted word, and the sizes below a
+    verified fooling set."""
 
     @staticmethod
     def searched(monkeypatch, a, max_states):
@@ -310,24 +311,54 @@ class TestNscStop:
         return nsc_exhaustive(a, max_states), sizes
 
     def test_minimal_input_never_searches_its_own_size(self, monkeypatch):
-        # k=2 lies below the 3-pair fooling-set floor as well.
+        # b (aa)*: k=1 is at most the shortest word's length, and k=2 lies
+        # below the 3-pair fooling-set floor.
         w = build(WitnessSpec(Family.LEMMA_L1, 3))
-        assert self.searched(monkeypatch, w, 3) == (3, [1])
+        assert self.searched(monkeypatch, w, 3) == (3, [])
 
     def test_fooling_floor_above_the_ceiling_skips_every_size_from_2(self, monkeypatch):
-        # A 4-pair fooling set: no NFA of at most 3 states exists.
+        # A 4-pair fooling set: no NFA of at most 3 states exists.  The
+        # shortest word b skips k=1 before the floor is searched.
         w = build(WitnessSpec(Family.LEMMA_L1, 4))
-        assert self.searched(monkeypatch, w, 3) == (None, [1])
+        assert self.searched(monkeypatch, w, 3) == (None, [])
+
+    def test_shortest_word_skips_every_size_up_to_its_length(self, monkeypatch):
+        # {a^600}: no NFA of at most 600 states accepts a word of length 600.
+        a = make_nfa(601, "ab", 0, [600], [(q, "a", q + 1) for q in range(600)])
+        assert self.searched(monkeypatch, a, 3) == (None, [])
+
+    def test_shortest_word_of_the_empty_language(self):
+        assert bounds._shortest_accepted_length(
+            bounds.canonical_dfa(empty_nfa(alphabet("ab")))) is None
+        assert bounds._shortest_accepted_length(
+            bounds.canonical_dfa(lambda_nfa(alphabet("ab")))) == 0
 
     def test_past_the_cell_cap_there_is_no_floor(self, monkeypatch):
-        # {a^600} has 601 rows in its automaton matrix, over the cell cap.
-        a = make_nfa(601, "ab", 0, [600], [(q, "a", q + 1) for q in range(600)])
-        assert self.searched(monkeypatch, a, 2) == (None, [1, 2])
+        # {b, a^600} has 602 rows in its automaton matrix, over the cell
+        # cap, and its shortest word b only skips k=1.
+        a = make_nfa(601, "ab", 0, [1, 600],
+                     [(0, "b", 1)] + [(q, "a", q + 1) for q in range(600)])
+        assert self.searched(monkeypatch, a, 2) == (None, [2])
 
     def test_stops_at_the_live_states_of_the_minimal_dfa(self, monkeypatch):
         # b a* on three trim states; its minimal DFA has 2 live states.
         a = make_nfa(3, "ab", 0, [1, 2], [(0, "b", 1), (1, "a", 2), (2, "a", 2)])
-        assert self.searched(monkeypatch, a, 3) == (2, [1])
+        assert self.searched(monkeypatch, a, 3) == (2, [])
+
+    def test_no_answer_from_a_truncated_survivor_list(self, monkeypatch):
+        # {ε, b}: the shortest word is ε and the minimal DFA has 2 live
+        # states, so k=1 is searched.
+        a = make_nfa(2, "ab", 0, [0, 1], [(0, "b", 1)])
+        seen = []
+
+        def capped(k, s, parents, symbols, labels, cap):
+            seen.append(cap)
+            return [((0,) * (k * s), 0)] * cap
+
+        monkeypatch.setattr(_kernel, "filter_tables", capped)
+        with pytest.raises(BudgetExceeded, match="survivors"):
+            nsc_exhaustive(a, 2)
+        assert seen == [bounds._SURVIVOR_CAP]
 
 
 class TestCertify:

@@ -1,4 +1,4 @@
-"""The depth-first table search against the brute-force numpy filter,
+"""The propagating table search against the brute-force numpy filter,
 survivor list for survivor list, order included."""
 
 import pytest
@@ -71,6 +71,26 @@ def test_late_accepted_words(letters, length):
     assert_matches_oracle(3, chain)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("length", [3, 4])
+def test_every_word_but_one_length(k, length):
+    # Propagation reorders the work: rejected nodes of that length are
+    # processed ahead of lower-index nodes that wait on a cell, and fill
+    # the forbidden mask early.
+    parents, symbols, words = _sample_trie(2, 2 * k)
+    args = (k, 2, parents, symbols, [len(w) != length for w in words])
+    assert filter_tables(*args) == numpy_filter.filter_tables(*args)
+
+
+@pytest.mark.parametrize("length", [2, 3, 4])
+def test_one_word_of_as(length):
+    # {a^L} at k=3: the one accepted node comes late in node order, and
+    # rejected nodes processed out of order fill the forbidden mask first.
+    parents, symbols, words = _sample_trie(2, 6)
+    args = (3, 2, parents, symbols, [w == (0,) * length for w in words])
+    assert filter_tables(*args) == numpy_filter.filter_tables(*args)
+
+
 @st.composite
 def labelled_tries(draw):
     k = draw(st.integers(1, 2))
@@ -84,6 +104,25 @@ def labelled_tries(draw):
 @settings(max_examples=150, deadline=None)
 @given(labelled_tries())
 def test_random_trie_labels(args):
+    assert filter_tables(*args) == numpy_filter.filter_tables(*args)
+
+
+@st.composite
+def dense_tries(draw):
+    # Each word accepted with probability p, from all-rejected to
+    # all-accepted samples.
+    k = draw(st.integers(1, 2))
+    sigma = draw(st.integers(1, 3))
+    p = draw(st.floats(0, 1))
+    parents, symbols, _ = _sample_trie(sigma, 2 * k)
+    coins = draw(st.lists(st.floats(0, 1, exclude_max=True),
+                          min_size=len(parents), max_size=len(parents)))
+    return k, sigma, parents, symbols, [c < p for c in coins]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_tries())
+def test_random_label_densities(args):
     assert filter_tables(*args) == numpy_filter.filter_tables(*args)
 
 
