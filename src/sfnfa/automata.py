@@ -9,7 +9,6 @@ automata can be shared freely between workers.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 Word = tuple[int, ...]
@@ -188,9 +187,13 @@ def _adjacency(a: Nfa) -> tuple[list[int], list[int]]:
 
 def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
     """``trim`` and the original index of each surviving state, which is
-    empty when the language is empty."""
+    empty when the language is empty.  An automaton whose states are all
+    useful is returned as it is."""
     fwd, bwd = _adjacency(a)
-    useful = list(bits(_reach(fwd, 1 << a.start) & _reach(bwd, a.final_mask)))
+    useful_mask = _reach(fwd, 1 << a.start) & _reach(bwd, a.final_mask)
+    if useful_mask == (1 << a.state_count) - 1:
+        return a, tuple(range(a.state_count))
+    useful = list(bits(useful_mask))
     if a.start not in useful:
         return empty_nfa(a.alphabet), ()
     remap = {old: new for new, old in enumerate(useful)}
@@ -240,41 +243,6 @@ def reachable_sets(rows, start: int):
             if nxt and nxt not in seen:
                 seen.add(nxt)
                 queue.append((word + (x,), nxt))
-
-
-def word_masks(a: Nfa) -> tuple[Callable[[Word], int], Callable[[Word], int]]:
-    """Membership oracle for many prefix/suffix splits of one automaton.
-
-    Returns ``(fwd, bwd)``, both memoised: ``fwd(x)`` is the bitmask of
-    states reached from the start by reading x, and ``bwd(w)`` the bitmask
-    of states from which w reaches a final state.  Then x·w is in L(a)
-    iff ``fwd(x) & bwd(w)`` is non-zero, so each prefix and each suffix is
-    simulated once, not once per pair.
-    """
-    a = remove_lambda(a)
-    pred = pred_rows(a)
-    fwd_memo = {(): 1 << a.start}
-    bwd_memo = {(): a.final_mask}
-
-    def fwd(x: Word) -> int:
-        i = len(x)
-        while x[:i] not in fwd_memo:
-            i -= 1
-        mask = fwd_memo[x[:i]]
-        for j in range(i, len(x)):
-            mask = fwd_memo[x[: j + 1]] = step(a.succ, mask, x[j])
-        return mask
-
-    def bwd(w: Word) -> int:
-        i = 0
-        while w[i:] not in bwd_memo:
-            i += 1
-        mask = bwd_memo[w[i:]]
-        for j in range(i - 1, -1, -1):
-            mask = bwd_memo[w[j:]] = step(pred, mask, w[j])
-        return mask
-
-    return fwd, bwd
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .automata import (
     remove_lambda,
     step,
     trim,
-    word_masks,
 )
 from .constructions import (
     complement_sf,
@@ -60,16 +59,70 @@ class FoolingSet:
         return [list(p) for p in self.pairs]
 
 
+def _label_walker(rows, start: int, index: Callable[[str], int]) -> Callable[[str], int]:
+    """``read(text)``: the state set reached from ``start`` by reading the
+    label string ``text`` along ``rows``.  Each state set met keeps a row of
+    its successors by label, and a label is looked up in the alphabet only
+    for a step not taken before."""
+    row_of: dict[int, dict[str, int]] = {}
+
+    def read(text: str) -> int:
+        mask = start
+        for ch in text:
+            row = row_of.get(mask)
+            if row is None:
+                row = row_of[mask] = {}
+            nxt = row.get(ch)
+            if nxt is None:
+                nxt = row[ch] = step(rows, mask, index(ch))
+            mask = nxt
+        return mask
+
+    return read
+
+
 def verify_fooling_set(a: Nfa, p: FoolingSet) -> bool:
-    """Check both fooling-set conditions against L(a)."""
-    fwd, bwd = word_masks(a)
-    masks = [(fwd(a.alphabet.word(x)), bwd(a.alphabet.word(w))) for x, w in p.pairs]
+    """Check both fooling-set conditions against L(a).
+
+    Each x is read forward from the start and each w backward from the
+    finals of the lambda-free automaton, giving f_i, the states x_i reaches,
+    and b_i, the states from which w_i reaches a final state; then x_i·w_j
+    is in L(a) iff f_i & b_j is non-zero.  The walks keep one successor
+    row per state set met, so a step already taken is read from a dict.  A
+    label outside the alphabet raises ``ValueError``.
+
+    Every pair needs f_i & b_i non-zero.  Then, with f_at[q] the pairs
+    whose f holds state q and b_at[q] those whose b does, the union of
+    b_at over f_i is the set of j with x_i·w_j in L(a), and the union of
+    f_at over b_i the set of j with x_j·w_i in L(a).  The set is fooling
+    iff their intersection is {i} for every i, which costs time linear in
+    the states of the masks, not quadratic in the pairs.
+    """
+    a = remove_lambda(a)
+    index = a.alphabet.index
+    fwd = _label_walker(a.succ, 1 << a.start, index)
+    bwd = _label_walker(pred_rows(a), a.final_mask, index)
+    masks = [(fwd(x), bwd(w[::-1])) for x, w in p.pairs]
     if not all(f & b for f, b in masks):
         return False
-    return not any(
-        fi & bj and fj & bi
-        for i, (fi, bi) in enumerate(masks)
-        for fj, bj in masks[i + 1:]
+    f_at = [0] * a.state_count
+    b_at = [0] * a.state_count
+    bit = 1
+    for f, b in masks:
+        while f:
+            low = f & -f
+            f_at[low.bit_length() - 1] |= bit
+            f ^= low
+        while b:
+            low = b & -b
+            b_at[low.bit_length() - 1] |= bit
+            b ^= low
+        bit <<= 1
+    # at[q] = (f_at[q], b_at[q]), so step(at, mask, 1) is the union of b_at
+    # over mask and step(at, mask, 0) that of f_at.
+    at = list(zip(f_at, b_at))
+    return all(
+        step(at, f, 1) & step(at, b, 0) == 1 << i for i, (f, b) in enumerate(masks)
     )
 
 
@@ -151,9 +204,11 @@ def search_fooling_set(a: Nfa, *, limit: int | None = None) -> FoolingSet | None
     # than _CELL_CAP of either already exceeds the cap.
     rows = list(islice(reachable_sets(t.succ, 1 << t.start), _CELL_CAP + 1))
     cols = list(islice(reachable_sets(pred_rows(t), t.final_mask), _CELL_CAP + 1))
-    cells = [(i, j) for i, (_, r) in enumerate(rows)
-             for j, (_, c) in enumerate(cols) if r & c]
-    if max(len(rows), len(cols), len(cells)) > _CELL_CAP:
+    # The cells are listed only once rows and columns are under the cap.
+    if max(len(rows), len(cols)) > _CELL_CAP or len(
+        cells := [(i, j) for i, (_, r) in enumerate(rows)
+                  for j, (_, c) in enumerate(cols) if r & c]
+    ) > _CELL_CAP:
         raise SearchBudgetExceeded(
             f"the automaton matrix has more than {_CELL_CAP} cells, the search cap",
             best_size=1,

@@ -1,22 +1,87 @@
-"""Test oracle: fooling-set search over bounded words.
+"""Test oracles for fooling sets: a search over bounded words and a
+pairwise verifier.
 
-The package's former search, kept as an independent reference for the exact
-search over the reduced automaton matrix.  Candidates are all splits (x, w)
+The bounded-word search is the package's former search, kept as an
+independent reference for the exact search over the reduced automaton
+matrix.  Candidates are all splits (x, w)
 of accepted words of length at most ``max_word_len``.  Two candidates are
 compatible when at least one cross product leaves the language; a clique of
 compatible candidates is a fooling set.  Clique search is exact (bitmask
 branch and bound) up to 24 candidates and seeded-greedy with restarts above.
+
+``pairwise_verify_fooling_set`` is the package's former verifier: it parses
+every label string into a word, simulates the words through the memoised
+``word_masks`` and compares every pair with every other pair.  It is the
+reference for ``verify_fooling_set``, which walks label strings and checks
+the pairs through per-state bitsets.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 
-from sfnfa.automata import Nfa, enumerate_words, word_masks
+from sfnfa.automata import (
+    Nfa,
+    Word,
+    enumerate_words,
+    pred_rows,
+    remove_lambda,
+    step,
+)
 from sfnfa.bounds import FoolingSet, verify_fooling_set
 
 CANDIDATE_CAP = 16384
 EXACT_CLIQUE_NODES = 24
+
+
+def word_masks(a: Nfa) -> tuple[Callable[[Word], int], Callable[[Word], int]]:
+    """Membership oracle for many prefix/suffix splits of one automaton.
+
+    Returns ``(fwd, bwd)``, both memoised: ``fwd(x)`` is the bitmask of
+    states reached from the start by reading x, and ``bwd(w)`` the bitmask
+    of states from which w reaches a final state.  Then x·w is in L(a)
+    iff ``fwd(x) & bwd(w)`` is non-zero, so each prefix and each suffix is
+    simulated once, not once per pair.
+    """
+    a = remove_lambda(a)
+    pred = pred_rows(a)
+    fwd_memo = {(): 1 << a.start}
+    bwd_memo = {(): a.final_mask}
+
+    def fwd(x: Word) -> int:
+        i = len(x)
+        while x[:i] not in fwd_memo:
+            i -= 1
+        mask = fwd_memo[x[:i]]
+        for j in range(i, len(x)):
+            mask = fwd_memo[x[: j + 1]] = step(a.succ, mask, x[j])
+        return mask
+
+    def bwd(w: Word) -> int:
+        i = 0
+        while w[i:] not in bwd_memo:
+            i += 1
+        mask = bwd_memo[w[i:]]
+        for j in range(i - 1, -1, -1):
+            mask = bwd_memo[w[j:]] = step(pred, mask, w[j])
+        return mask
+
+    return fwd, bwd
+
+
+def pairwise_verify_fooling_set(a: Nfa, p: FoolingSet) -> bool:
+    """Both fooling-set conditions against L(a), every pair against every
+    other pair."""
+    fwd, bwd = word_masks(a)
+    masks = [(fwd(a.alphabet.word(x)), bwd(a.alphabet.word(w))) for x, w in p.pairs]
+    if not all(f & b for f, b in masks):
+        return False
+    return not any(
+        fi & bj and fj & bi
+        for i, (fi, bi) in enumerate(masks)
+        for fj, bj in masks[i + 1:]
+    )
 
 
 def bounded_word_fooling_set(

@@ -94,3 +94,31 @@ def determinize_with_subsets(a: Nfa) -> tuple[Dfa, tuple[frozenset, ...]]:
     finals = frozenset(i for i, sub in enumerate(order) if sub & a.finals)
     dfa = Dfa(len(order), a.alphabet, 0, finals, tuple(rows), sink=index.get(frozenset()))
     return dfa, tuple(order)
+
+
+def _graph_reach(edges: set, states) -> set:
+    seen = set(states)
+    stack = list(states)
+    while stack:
+        q = stack.pop()
+        for src, dst in edges:
+            if src == q and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
+
+
+def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
+    """The useful states, renumbered in order, always rebuilt as a new
+    ``Nfa``; the one-state empty automaton when the start is useless."""
+    edges = {(src, dst) for src, _sym, dst in a.transitions}
+    reach = _graph_reach(edges, {a.start})
+    coreach = _graph_reach({(dst, src) for src, dst in edges}, a.finals)
+    useful = sorted(reach & coreach)
+    if a.start not in useful:
+        return Nfa(1, a.alphabet, 0, frozenset(), frozenset()), ()
+    remap = {old: new for new, old in enumerate(useful)}
+    trans = frozenset((remap[s], x, remap[d]) for s, x, d in a.transitions
+                      if s in remap and d in remap)
+    finals = frozenset(remap[q] for q in a.finals if q in remap)
+    return Nfa(len(useful), a.alphabet, remap[a.start], finals, trans), tuple(useful)

@@ -21,7 +21,7 @@ from sfnfa.automata import (
     product_intersection,
     remove_lambda,
     trim,
-    word_masks,
+    trim_with_indices,
 )
 from sfnfa.constructions import reverse_nfa
 from sfnfa.suffixfree import is_non_returning
@@ -29,6 +29,7 @@ from sfnfa.witnesses import Family, WitnessSpec, build
 
 import set_oracle
 from conftest import all_words, random_nfa, random_non_returning_nfa
+from fooling_oracle import word_masks
 
 
 def words(a, texts):
@@ -86,6 +87,11 @@ class TestTrim:
         a = make_nfa(3, "ab", 0, [], [(0, "a", 1), (1, "b", 2)])
         out = trim(a)
         assert out == empty_nfa(a.alphabet)
+
+    def test_trim_input_is_returned_as_it_is(self):
+        a = build(WitnessSpec(Family.LEMMA_L1, 3))
+        assert trim(a) is a
+        assert trim_with_indices(a) == (a, (0, 1, 2))
 
 
 class TestAccepts:
@@ -346,6 +352,14 @@ class TestMaskCoreAgainstSetOracle:
     @given(random_lambda_nfas)
     def test_remove_lambda(self, a):
         assert remove_lambda(a) == set_oracle.remove_lambda(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_lambda_nfas)
+    def test_trim_with_indices(self, a):
+        # The oracle always rebuilds; the core returns a trim input as is.
+        got, useful = trim_with_indices(a)
+        want, want_useful = set_oracle.trim_with_indices(a)
+        assert got == want and useful == want_useful
 
     @settings(max_examples=150, deadline=None)
     @given(random_lambda_nfas)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfnfa import _kernel, bounds
-from sfnfa.automata import alphabet, empty_nfa, lambda_nfa, make_nfa
+from sfnfa.automata import accepts, alphabet, empty_nfa, enumerate_words, lambda_nfa, make_nfa
 from sfnfa.bounds import (
     FoolingFamily,
     FoolingSet,
@@ -26,7 +26,7 @@ from sfnfa.errors import (
 from sfnfa.witnesses import Family, WitnessSpec, build
 
 from conftest import random_nfa, random_non_returning_nfa
-from fooling_oracle import bounded_word_fooling_set
+from fooling_oracle import bounded_word_fooling_set, pairwise_verify_fooling_set
 from nsc_oracle import nsc_without_stop
 
 
@@ -51,6 +51,152 @@ class TestVerifyFoolingSet:
             (("", "baa"), ("b", "aa"), ("ba", "a"), ("a", "bb"), ("ab", "b"))
         )
         assert verify_fooling_set(u, fs)
+
+    def test_unknown_label_raises(self):
+        w = build(WitnessSpec(Family.LEMMA_L1, 3))
+        for pairs in ((("bz", "a"),), (("b", "za"),), (("", "b"), ("b", "aaz"))):
+            with pytest.raises(ValueError, match="'z' not in alphabet"):
+                verify_fooling_set(w, FoolingSet(pairs))
+
+    def test_empty_set_verifies(self):
+        w = build(WitnessSpec(Family.LEMMA_L1, 3))
+        assert verify_fooling_set(w, FoolingSet(()))
+        assert verify_fooling_set(empty_nfa(alphabet("ab")), FoolingSet(()))
+
+
+def _paper_cases():
+    """Every paper fooling family at m, n <= 6, with the automaton it is
+    checked against: ``(name, automaton, fooling set)``."""
+    cases = []
+    for m in range(2, 7):
+        cases.append((f"lemma-l1 {m}", build(WitnessSpec(Family.LEMMA_L1, m)),
+                      paper_fooling_set(FoolingFamily.LEMMA_L1, m)))
+        if m >= 3:
+            cases.append((f"lemma-l2 {m}", build(WitnessSpec(Family.LEMMA_L2, m)),
+                          paper_fooling_set(FoolingFamily.LEMMA_L2, m)))
+        cases.append((f"star {m}", star_sf(build(WitnessSpec(Family.STAR, m))),
+                      paper_fooling_set(FoolingFamily.STAR, m)))
+        for n in range(2, 7):
+            for family, witness, construct in (
+                (FoolingFamily.UNION, Family.UNION_PAIR, union_sf),
+                (FoolingFamily.CATENATION, Family.CONCAT_PAIR, concat_sf),
+                (FoolingFamily.INTERSECTION, Family.INTERSECT_PAIR, intersect_sf),
+            ):
+                cases.append((f"{family.value} {m} {n}",
+                              construct(*build(WitnessSpec(witness, m, n))),
+                              paper_fooling_set(family, m, n)))
+    return cases
+
+
+PAPER_CASES = _paper_cases()
+
+
+def _both_verify(a, pairs) -> bool:
+    """The verifier's answer, after checking that the pairwise oracle agrees."""
+    fs = FoolingSet(tuple(pairs))
+    got = verify_fooling_set(a, fs)
+    assert got == pairwise_verify_fooling_set(a, fs)
+    return got
+
+
+class TestFoolingSetMutations:
+    """Each paper family at m, n <= 6 fails once mutated."""
+
+    def test_dropped_letter_of_w(self):
+        # Dropping a letter of some w takes x·w out of the language, except
+        # in union at m = n = 2 and star at m = 2, whose languages hold
+        # every word so shortened.
+        without = set()
+        for name, a, fs in PAPER_CASES:
+            drops = [
+                fs.pairs[:i] + ((x, w[:k] + w[k + 1:]),) + fs.pairs[i + 1:]
+                for i, (x, w) in enumerate(fs.pairs) for k in range(len(w))
+                if not accepts(a, a.alphabet.word(x + w[:k] + w[k + 1:]))
+            ]
+            if not drops:
+                without.add(name)
+            for pairs in drops:
+                assert not _both_verify(a, pairs), (name, pairs)
+        assert without == {"union 2 2", "star 2"}
+
+    def test_duplicated_pair(self):
+        for name, a, fs in PAPER_CASES:
+            for pair in fs.pairs:
+                assert not _both_verify(a, fs.pairs + (pair,)), (name, pair)
+
+    def test_extra_clashing_pair(self):
+        # A split (x_i, u) of another accepted word x_i·u clashes with
+        # (x_i, w_i), and so does (v, w_i) of v·w_i: both cross products
+        # lie in the language.  Catenation's language is the one word
+        # a^(m+n-2), all of whose splits are pairs already, so its only
+        # clashing extra pair is a duplicate.
+        without = set()
+        for name, a, fs in PAPER_CASES:
+            longest = max(len(x) + len(w) for x, w in fs.pairs)
+            words = [a.alphabet.text(z) for z in enumerate_words(a, longest + 2)]
+            extra = [(x, z[len(x):]) for x, w in fs.pairs for z in words
+                     if z.startswith(x) and z[len(x):] != w]
+            extra += [(z[:len(z) - len(w)], w) for x, w in fs.pairs for z in words
+                      if z.endswith(w) and z[:len(z) - len(w)] != x]
+            if not extra:
+                without.add(name)
+            for pair in extra[:5]:
+                assert not _both_verify(a, fs.pairs + (pair,)), (name, pair)
+        assert without == {name for name, _, _ in PAPER_CASES
+                           if name.startswith("catenation")}
+
+
+def _mutate(rng, pairs, labels):
+    """One random edit of a pair list: a duplicated pair, an x extended by a
+    letter, a dropped pair, a dropped letter of a w, or two w swapped."""
+    pairs = list(pairs)
+    i = rng.randrange(len(pairs))
+    x, w = pairs[i]
+    kind = rng.randrange(5)
+    if kind == 0:
+        pairs.insert(rng.randrange(len(pairs) + 1), (x, w))
+    elif kind == 1:
+        pairs[i] = (x + rng.choice(labels), w)
+    elif kind == 2:
+        del pairs[i]
+    elif kind == 3 and w:
+        k = rng.randrange(len(w))
+        pairs[i] = (x, w[:k] + w[k + 1:])
+    else:
+        j = rng.randrange(len(pairs))
+        pairs[i], pairs[j] = (x, pairs[j][1]), (pairs[j][0], w)
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["ab", "abc"]),
+       st.sampled_from([0.0, 0.15, 0.3]),
+       st.sampled_from(["search", "search", "paper", "mutated", "random"]))
+def test_verifier_matches_pairwise_oracle(seed, labels, lambda_prob, source):
+    # Random pair lists are mostly rejected, so most inputs are fooling
+    # sets: search results on random NFAs and the paper families, and
+    # single edits of search results.
+    rng = random.Random(seed)
+    a = random_nfa(rng, max_states=7, labels=labels, lambda_prob=lambda_prob)
+    fs = None
+    if source == "random":
+        def text():
+            return "".join(rng.choice(labels) for _ in range(rng.randrange(5)))
+        _both_verify(a, [(text(), text()) for _ in range(rng.randrange(1, 6))])
+        return
+    if source != "paper":
+        # The limit keeps the clique search fast on 7 states.  An empty
+        # language, or a matrix over the cell cap, gives no set, and a
+        # paper family stands in.
+        try:
+            fs = search_fooling_set(a, limit=4)
+        except SearchBudgetExceeded:
+            pass
+    if fs is None:
+        _, a, fs = rng.choice(PAPER_CASES)
+        labels = "".join(a.alphabet.labels)
+    pairs = _mutate(rng, fs.pairs, labels) if source == "mutated" else fs.pairs
+    _both_verify(a, pairs)
 
 
 class TestPaperFoolingSet:
@@ -83,27 +229,8 @@ class TestPaperFoolingSet:
             paper_fooling_set(FoolingFamily.UNION, 2)
 
     def test_all_families_verify_on_constructions_up_to_6(self):
-        for m in range(2, 7):
-            for n in range(2, 7):
-                left, right = build(WitnessSpec(Family.UNION_PAIR, m, n))
-                assert verify_fooling_set(
-                    union_sf(left, right), paper_fooling_set(FoolingFamily.UNION, m, n)
-                )
-                left, right = build(WitnessSpec(Family.CONCAT_PAIR, m, n))
-                assert verify_fooling_set(
-                    concat_sf(left, right),
-                    paper_fooling_set(FoolingFamily.CATENATION, m, n),
-                )
-                left, right = build(WitnessSpec(Family.INTERSECT_PAIR, m, n))
-                assert verify_fooling_set(
-                    intersect_sf(left, right),
-                    paper_fooling_set(FoolingFamily.INTERSECTION, m, n),
-                )
-        for m in range(2, 7):
-            assert verify_fooling_set(
-                star_sf(build(WitnessSpec(Family.STAR, m))),
-                paper_fooling_set(FoolingFamily.STAR, m),
-            )
+        for name, a, fs in PAPER_CASES:
+            assert _both_verify(a, fs.pairs), name
 
 
 class TestSearchFoolingSet:
@@ -151,8 +278,18 @@ class TestSearchFoolingSet:
         assert len(search_fooling_set(rev)) == 507
         for m in (508, 1000):
             rev = reverse_nfa(build(WitnessSpec(Family.REVERSAL, m)))
-            with pytest.raises(SearchBudgetExceeded):
+            with pytest.raises(SearchBudgetExceeded) as exc:
                 search_fooling_set(rev)
+            assert exc.value.best_size == 1
+
+    def test_rows_over_the_cap_are_refused(self):
+        # {b, a^600} has 602 rows; the search refuses it before it pairs
+        # rows with columns.
+        a = make_nfa(601, "ab", 0, [1, 600],
+                     [(0, "b", 1)] + [(q, "a", q + 1) for q in range(600)])
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search_fooling_set(a)
+        assert exc.value.best_size == 1
 
     def test_useless_states_do_not_count_against_the_cap(self):
         # {λ} behind a chain of 600 states that reach no final state.
