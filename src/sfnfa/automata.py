@@ -279,25 +279,43 @@ def dfa_accepts(d: Dfa, w: Word) -> bool:
     return q in d.finals
 
 
+def _subset_walk(rows, start: int) -> tuple[list[list[int]], list[int]]:
+    """The subset construction over masks: from the state set ``start``,
+    breadth-first in symbol order, each discovered set's successor row as
+    indices into the discovery order, and that order.  The empty set, when
+    reached, is a state like any other."""
+    symbols = range(len(rows[0]))
+    index = {start: 0}
+    order = [start]
+    table = []
+    for sub in order:  # grows as subsets are discovered: a BFS queue
+        succ = [0] * len(symbols)
+        while sub:
+            low = sub & -sub
+            r = rows[low.bit_length() - 1]
+            for x in symbols:
+                succ[x] |= r[x]
+            sub ^= low
+        row = []
+        for nxt in succ:
+            i = index.get(nxt)
+            if i is None:
+                i = index[nxt] = len(order)
+                order.append(nxt)
+            row.append(i)
+        table.append(row)
+    return table, order
+
+
 def determinize_with_subsets(a: Nfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
     """Subset construction; also returns the reachable subsets in discovery
     order (the empty subset, if present, appears as the sink)."""
     if a.has_lambda:
         raise ValueError("determinize requires a lambda-free NFA")
-    index = {1 << a.start: 0}
-    order = [1 << a.start]
-    table = []
-    for sub in order:  # grows as subsets are discovered: a BFS queue
-        row = []
-        for x in range(a.alphabet.size):
-            nxt = step(a.succ, sub, x)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        table.append(tuple(row))
+    table, order = _subset_walk(a.succ, 1 << a.start)
     finals = frozenset(i for i, sub in enumerate(order) if sub & a.final_mask)
-    dfa = Dfa(len(order), a.alphabet, 0, finals, tuple(table), sink=index.get(0))
+    sink = next((i for i, sub in enumerate(order) if not sub), None)
+    dfa = Dfa(len(order), a.alphabet, 0, finals, tuple(map(tuple, table)), sink=sink)
     return dfa, tuple(frozenset(bits(sub)) for sub in order)
 
 
@@ -305,61 +323,73 @@ def determinize(a: Nfa) -> Dfa:
     return determinize_with_subsets(a)[0]
 
 
-def _dfa_reachable(d: Dfa) -> Dfa:
-    order = [d.start]
-    seen = {d.start}
-    for q in order:  # grows as states are discovered: a BFS queue
-        for r in d.table[q]:
-            if r not in seen:
-                seen.add(r)
-                order.append(r)
-    remap = {old: new for new, old in enumerate(order)}
-    table = tuple(
-        tuple(remap[d.table[old][x]] for x in range(d.alphabet.size)) for old in order
-    )
-    finals = frozenset(remap[q] for q in d.finals if q in remap)
-    return Dfa(len(order), d.alphabet, 0, finals, table)
+def _minimal(alpha: Alphabet, table, final: list[bool], start: int) -> Dfa:
+    """The minimal DFA of the complete table ``table`` (lists of successor
+    indices) with final flags ``final``, in canonical numbering.
+
+    Moore refinement keys each state by its block and its successors'
+    blocks, and stops at the first round that splits no block, or once
+    every state has a block of its own.  The blocks are then numbered
+    breadth-first from the start's block in symbol order, which visits
+    only the reachable ones.  ``sink`` is the first non-final state that
+    loops to itself on every symbol."""
+    first: dict[bool, int] = {}
+    block = [first.setdefault(f, len(first)) for f in final]
+    count = len(first)
+    while count < len(table):
+        sig: dict[tuple[int, ...], int] = {}
+        new = []
+        for b, row in zip(block, table):
+            key = (b, *[block[r] for r in row])
+            i = sig.get(key)
+            if i is None:
+                i = sig[key] = len(sig)
+            new.append(i)
+        block = new
+        if len(sig) == count:
+            break
+        count = len(sig)
+    rep = [-1] * count
+    for q, b in enumerate(block):
+        if rep[b] < 0:
+            rep[b] = q
+    num = [-1] * count
+    num[block[start]] = 0
+    order = [block[start]]
+    rows = []
+    for b in order:  # grows as blocks are discovered: a BFS queue
+        row = []
+        for r in table[rep[b]]:
+            c = block[r]
+            if num[c] < 0:
+                num[c] = len(order)
+                order.append(c)
+            row.append(num[c])
+        rows.append(tuple(row))
+    finals = frozenset(i for i, b in enumerate(order) if final[rep[b]])
+    sink = next((i for i, row in enumerate(rows)
+                 if i not in finals and row.count(i) == len(row)), None)
+    return Dfa(len(rows), alpha, 0, finals, tuple(rows), sink=sink)
 
 
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA in canonical (BFS from start, symbol order)
     numbering, so language-equal DFAs minimize to equal values."""
-    d = _dfa_reachable(d)
-    # Moore partition refinement; fine at the sizes this package handles.
-    block = [1 if q in d.finals else 0 for q in range(d.state_count)]
-    while True:
-        sig = {}
-        new_block = []
-        for q in range(d.state_count):
-            key = (block[q],) + tuple(block[d.table[q][x]] for x in range(d.alphabet.size))
-            if key not in sig:
-                sig[key] = len(sig)
-            new_block.append(sig[key])
-        if new_block == block:
-            break
-        block = new_block
-    nblocks = max(block) + 1
-    rep = {}
-    for q in range(d.state_count):
-        rep.setdefault(block[q], q)
-    table = tuple(
-        tuple(block[d.table[rep[b]][x]] for x in range(d.alphabet.size))
-        for b in range(nblocks)
-    )
-    finals = frozenset(b for b in range(nblocks) if rep[b] in d.finals)
-    merged = Dfa(nblocks, d.alphabet, block[d.start], finals, table)
-    out = _dfa_reachable(merged)
-    sink = None
-    for q in range(out.state_count):
-        if q not in out.finals and all(out.table[q][x] == q for x in range(out.alphabet.size)):
-            sink = q
-            break
-    return Dfa(out.state_count, out.alphabet, out.start, out.finals, out.table, sink=sink)
+    final = [q in d.finals for q in range(d.state_count)]
+    return _minimal(d.alphabet, d.table, final, d.start)
 
 
 def canonical_dfa(a: Nfa) -> Dfa:
-    """Minimal canonical DFA of an NFA's language."""
-    return minimize(determinize(remove_lambda(a)))
+    """Minimal canonical DFA of an NFA's language.  With lambda edges the
+    subset walk runs on lambda-closed sets: each successor mask is closed,
+    so a closed set steps to the closure of its successors, and no
+    lambda-free automaton is built."""
+    rows, start = a.succ, 1 << a.start
+    if a.has_lambda:
+        rows = [[_reach(a.lam, m) for m in row] for row in a.succ]
+        start = _reach(a.lam, start)
+    table, order = _subset_walk(rows, start)
+    return _minimal(a.alphabet, table, [bool(sub & a.final_mask) for sub in order], 0)
 
 
 def equivalent(a: Nfa, b: Nfa) -> bool:

@@ -13,9 +13,8 @@ from . import _kernel
 from .automata import (
     Dfa,
     Nfa,
-    accepts,
+    accepts,  # no longer called here; the benchmark's tracer wraps it at this name
     alphabet,
-    bits,
     canonical_dfa,
     lambda_nfa,
     pred_rows,
@@ -292,35 +291,40 @@ def _sample_trie(alphabet_size: int, depth: int):
     return parents, symbols, nodes_words
 
 
-def _candidate_nfa(a: Nfa, k: int, cells: tuple[int, ...], finals_mask: int) -> Nfa:
-    s = a.alphabet.size
-    trans = set()
-    for st in range(k):
-        for x in range(s):
-            for dst in bits(cells[st * s + x]):
-                trans.add((st, x, dst))
-    finals = frozenset(q for q in range(k) if finals_mask >> q & 1)
-    return Nfa(k, a.alphabet, 0, finals, frozenset(trans))
+def _survivor_equivalent(cells, k: int, target: Dfa) -> bool:
+    """Whether some final set makes the table ``cells`` (start state 0)
+    accept L(target), for a complete target DFA.
 
-
-def _final_mask_options(cells, k, s, parents, symbols, labels, f_max):
-    """All subsets of f_max consistent with the sample labels, largest
-    first.  Needed because the bounded sample cannot always distinguish
-    final-set choices that only diverge on longer words."""
+    The walk visits the pairs (S, q) reachable from ({0}, target.start),
+    where S steps along the cell masks and q through the target; the pairs
+    do not depend on the final set F.  The candidate is equivalent iff
+    S & F is non-zero exactly at the pairs whose q is final.  A pair with a
+    non-final q forbids every state of S, and a pair with a final q needs
+    one state of S outside the forbidden set; taking F as every state not
+    forbidden, the candidate is equivalent iff any F makes it so.  A pair
+    with a final q whose S is already inside the forbidden set ends the
+    walk, as the forbidden set only grows."""
+    s = target.alphabet.size
     rows = [cells[st * s:(st + 1) * s] for st in range(k)]
-    reach = [1]
-    for i in range(1, len(parents)):
-        reach.append(step(rows, reach[parents[i]], symbols[i]))
-    accept_masks = [reach[i] for i in range(len(parents)) if labels[i]]
-    options = []
-    sub = f_max
-    while True:
-        if all(sub & am for am in accept_masks):
-            options.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & f_max
-    return options
+    table, finals = target.table, target.finals
+    pair = (1, target.start)
+    seen = {pair}
+    queue = [pair]
+    forbidden = 0
+    needs = []
+    for states, q in queue:  # grows as pairs are discovered: a BFS queue
+        if q in finals:
+            if not states & ~forbidden:
+                return False
+            needs.append(states)
+        else:
+            forbidden |= states
+        for x, r in enumerate(table[q]):
+            pair = (step(rows, states, x), r)
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return all(states & ~forbidden for states in needs)
 
 
 def _shortest_accepted_length(d: Dfa) -> int | None:
@@ -376,8 +380,10 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     min(stop, max_states + 1) pairs, which bounds the clique search; a
     search over its cell cap gives no floor.  The remaining sizes are
     enumerated: candidate tables are filtered against all words of length
-    <= 2k by the propagating table search, then survivors get a full
-    determinize-and-minimize equivalence check.  The table budget is
+    <= 2k, labeled by walking the canonical DFA, by the propagating table
+    search, and each survivor is decided by one walk of its product with
+    the canonical DFA, which finds the largest final set that can work and
+    checks it (``_survivor_equivalent``).  The table budget is
     checked at every k up to and including the stop, and a table search
     that reaches the survivor cap raises ``BudgetExceeded`` rather than
     answer from a list that may be truncated.
@@ -406,8 +412,13 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
                 floor = _fooling_floor(a, known, max_states)
             if k < floor:
                 continue
-        parents, symbols, node_words = _sample_trie(sigma, 2 * k)
-        labels = [accepts(a, w) for w in node_words]
+        parents, symbols, _ = _sample_trie(sigma, 2 * k)
+        # Each trie node's target state, from its parent's; the target is
+        # equivalent to a, so the node's word is in L(a) iff it is final.
+        state = [target.start]
+        for i in range(1, len(parents)):
+            state.append(target.table[state[parents[i]]][symbols[i]])
+        labels = [q in target.finals for q in state]
         survivors = _kernel.filter_tables(
             k, sigma, parents, symbols, labels, cap=_SURVIVOR_CAP
         )
@@ -416,13 +427,8 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
                 f"the table search for k={k} kept {_SURVIVOR_CAP} survivors, "
                 "its cap"
             )
-        for cells, f_max in survivors:
-            for fmask in _final_mask_options(
-                cells, k, sigma, parents, symbols, labels, f_max
-            ):
-                cand = _candidate_nfa(a, k, cells, fmask)
-                if canonical_dfa(cand) == target:
-                    return k
+        if any(_survivor_equivalent(cells, k, target) for cells, _ in survivors):
+            return k
     return None
 
 

@@ -122,3 +122,63 @@ def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
                       if s in remap and d in remap)
     finals = frozenset(remap[q] for q in a.finals if q in remap)
     return Nfa(len(useful), a.alphabet, remap[a.start], finals, trans), tuple(useful)
+
+
+def determinize(a: Nfa) -> Dfa:
+    return determinize_with_subsets(a)[0]
+
+
+def _dfa_reachable(d: Dfa) -> Dfa:
+    order = [d.start]
+    seen = {d.start}
+    for q in order:  # grows as states are discovered: a BFS queue
+        for r in d.table[q]:
+            if r not in seen:
+                seen.add(r)
+                order.append(r)
+    remap = {old: new for new, old in enumerate(order)}
+    table = tuple(
+        tuple(remap[d.table[old][x]] for x in range(d.alphabet.size)) for old in order
+    )
+    finals = frozenset(remap[q] for q in d.finals if q in remap)
+    return Dfa(len(order), d.alphabet, 0, finals, table)
+
+
+def minimize(d: Dfa) -> Dfa:
+    """The reachable part, Moore refinement until the partition stops
+    changing, the quotient, and its reachable part again, renumbered
+    breadth-first from the start in symbol order."""
+    d = _dfa_reachable(d)
+    block = [1 if q in d.finals else 0 for q in range(d.state_count)]
+    while True:
+        sig = {}
+        new_block = []
+        for q in range(d.state_count):
+            key = (block[q],) + tuple(block[d.table[q][x]] for x in range(d.alphabet.size))
+            if key not in sig:
+                sig[key] = len(sig)
+            new_block.append(sig[key])
+        if new_block == block:
+            break
+        block = new_block
+    nblocks = max(block) + 1
+    rep = {}
+    for q in range(d.state_count):
+        rep.setdefault(block[q], q)
+    table = tuple(
+        tuple(block[d.table[rep[b]][x]] for x in range(d.alphabet.size))
+        for b in range(nblocks)
+    )
+    finals = frozenset(b for b in range(nblocks) if rep[b] in d.finals)
+    merged = Dfa(nblocks, d.alphabet, block[d.start], finals, table)
+    out = _dfa_reachable(merged)
+    sink = None
+    for q in range(out.state_count):
+        if q not in out.finals and all(out.table[q][x] == q for x in range(out.alphabet.size)):
+            sink = q
+            break
+    return Dfa(out.state_count, out.alphabet, out.start, out.finals, out.table, sink=sink)
+
+
+def canonical_dfa(a: Nfa) -> Dfa:
+    return minimize(determinize(remove_lambda(a)))

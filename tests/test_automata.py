@@ -375,3 +375,58 @@ class TestMaskCoreAgainstSetOracle:
     def test_least_word_is_first_enumerated(self, a):
         words = enumerate_words(a, a.state_count)
         assert least_word(a) == (words[0] if words else None)
+
+
+random_kernel_nfas = st.builds(
+    lambda seed, labels, lambda_prob: random_nfa(
+        random.Random(seed), max_states=8, labels=labels, lambda_prob=lambda_prob),
+    st.integers(0, 2**31 - 1), st.sampled_from(["a", "ab", "abc"]),
+    st.sampled_from([0.0, 0.15, 0.3]),
+)
+
+
+def _with_unreachable(d, rng, extra):
+    """d with ``extra`` unreachable states appended, whose edges go anywhere
+    and whose final flags are random, under a random renumbering."""
+    n = d.state_count + extra
+    table = list(d.table) + [
+        tuple(rng.randrange(n) for _ in range(d.alphabet.size)) for _ in range(extra)]
+    finals = set(d.finals) | {q for q in range(d.state_count, n) if rng.random() < 0.5}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    inv = sorted(range(n), key=perm.__getitem__)
+    return Dfa(n, d.alphabet, perm[d.start], frozenset(perm[q] for q in finals),
+               tuple(tuple(perm[r] for r in table[old]) for old in inv))
+
+
+class TestCanonicalKernelAgainstOracle:
+    """The one-pass canonical DFA and ``minimize`` against the chain they
+    replaced: frozenset lambda removal and subset construction, the
+    reachable part, Moore refinement to a fixed point, the quotient and its
+    reachable part again.  ``sink`` is not part of equality, so it is
+    compared on its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_kernel_nfas)
+    def test_canonical_dfa(self, a):
+        got, want = canonical_dfa(a), set_oracle.canonical_dfa(a)
+        assert got == want
+        assert got.sink == want.sink
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_kernel_nfas, st.integers(0, 2**31 - 1), st.integers(0, 4))
+    def test_minimize_with_unreachable_states_and_renumbering(self, a, seed, extra):
+        d = _with_unreachable(set_oracle.determinize(set_oracle.remove_lambda(a)),
+                              random.Random(seed), extra)
+        got, want = minimize(d), set_oracle.minimize(d)
+        assert got == want and got.sink == want.sink
+        assert got == canonical_dfa(a)
+
+    def test_sink_is_the_dead_state(self):
+        # b a*: the start, the dead state 1 reached on a, and the final
+        # a-loop 2 reached on b.
+        d = canonical_dfa(build(WitnessSpec(Family.LEMMA_L1, 2)))
+        assert d.table == ((1, 2), (1, 1), (2, 1)) and d.sink == 1
+        # Every word is accepted: no dead state.
+        assert canonical_dfa(make_nfa(1, "ab", 0, [0], [(0, "a", 0), (0, "b", 0)])).sink is None
+        assert canonical_dfa(empty_nfa(alphabet("ab"))).sink == 0

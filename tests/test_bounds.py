@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfnfa import _kernel, bounds
-from sfnfa.automata import accepts, alphabet, empty_nfa, enumerate_words, lambda_nfa, make_nfa
+from sfnfa.automata import (
+    accepts,
+    alphabet,
+    canonical_dfa,
+    empty_nfa,
+    enumerate_words,
+    lambda_nfa,
+    make_nfa,
+    step,
+)
 from sfnfa.bounds import (
     FoolingFamily,
     FoolingSet,
@@ -27,6 +36,8 @@ from sfnfa.witnesses import Family, WitnessSpec, build
 
 from conftest import random_nfa, random_non_returning_nfa
 from fooling_oracle import bounded_word_fooling_set, pairwise_verify_fooling_set
+import nsc_oracle
+import set_oracle
 from nsc_oracle import nsc_without_stop
 
 
@@ -496,6 +507,109 @@ class TestNscStop:
         with pytest.raises(BudgetExceeded, match="survivors"):
             nsc_exhaustive(a, 2)
         assert seen == [bounds._SURVIVOR_CAP]
+
+
+def _all_but_length(length: int):
+    """Every binary word except those of the given length: a counter of
+    the length read so far, which stays at length + 1 once past it."""
+    top = length + 1
+    return make_nfa(top + 1, "ab", 0, [q for q in range(top + 1) if q != length],
+                    [(q, x, min(q + 1, top)) for q in range(top + 1) for x in "ab"])
+
+
+def _survivor_cases():
+    """Every survivor of the size-1 and size-2 table searches, with the
+    oracle's verdict: ``(language, k, cells, target, verdict)``.  The two
+    random NFAs each have a survivor whose rejection shows only on pairs
+    past the target's dead state."""
+    languages = [(f"all-but-{n}", _all_but_length(n)) for n in range(3, 7)]
+    languages += [(f"random-{seed}", random_nfa(random.Random(seed), max_states=5,
+                                                lambda_prob=0))
+                  for seed in (142, 1352)]
+    cases = []
+    for name, a in languages:
+        target = canonical_dfa(a)
+        oracle_target = set_oracle.canonical_dfa(a)
+        for k in (1, 2):
+            trie = nsc_oracle.sample(a, k)
+            for cells, f_max in _kernel.filter_tables(k, 2, *trie):
+                verdict = nsc_oracle.survivor_equivalent(
+                    a, k, cells, f_max, *trie, oracle_target)
+                cases.append((name, k, cells, target, verdict))
+    return cases
+
+
+SURVIVOR_CASES = _survivor_cases()
+
+
+def _walk(cells, k, target, *, sample_forbids=False, stop_at_sink=False):
+    """A copy of the survivor walk, with one of two defects: the forbidden
+    set taken from the sample's rejected words only, or no step taken from
+    a pair at the target's dead state."""
+    rows = [cells[st * 2:(st + 1) * 2] for st in range(k)]
+    queue = [(1, target.start)]
+    seen = set(queue)
+    forbidden = 0
+    needs = []
+    for states, q in queue:
+        if q in target.finals:
+            needs.append(states)
+        else:
+            forbidden |= states
+        if stop_at_sink and q == target.sink:
+            continue
+        for x, r in enumerate(target.table[q]):
+            pair = (step(rows, states, x), r)
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    if sample_forbids:
+        parents, symbols, _ = bounds._sample_trie(2, 2 * k)
+        forbidden = 0
+        state, reach = [target.start], [1]
+        for i in range(1, len(parents)):
+            state.append(target.table[state[parents[i]]][symbols[i]])
+            reach.append(step(rows, reach[parents[i]], symbols[i]))
+            if state[i] not in target.finals:
+                forbidden |= reach[i]
+    return all(states & ~forbidden for states in needs)
+
+
+def _disagreements(decide):
+    """The survivor cases on which ``decide(cells, k, target)`` differs
+    from the oracle."""
+    return [(name, k, cells) for name, k, cells, target, verdict in SURVIVOR_CASES
+            if decide(cells, k, target) != verdict]
+
+
+class TestSurvivorDecision:
+    """One product walk per survivor against the per-option oracle, on
+    languages where most survivors are rejected."""
+
+    @pytest.mark.parametrize("length", range(3, 7))
+    @pytest.mark.parametrize("max_states", [1, 2])
+    def test_nsc_matches_search_without_stop(self, length, max_states):
+        a = _all_but_length(length)
+        assert nsc_exhaustive(a, max_states) == nsc_without_stop(a, max_states) is None
+
+    def test_walk_matches_the_oracle_on_every_survivor(self):
+        assert _disagreements(bounds._survivor_equivalent) == []
+        # The test's copy of the walk agrees too, before a defect is put in.
+        assert _disagreements(_walk) == []
+        # The all-but-one-length languages give 4 + 218 survivors, and
+        # every one of them is rejected.
+        verdicts = [verdict for name, _, _, _, verdict in SURVIVOR_CASES
+                    if name.startswith("all-but")]
+        assert verdicts == [False] * 222
+
+    @pytest.mark.parametrize("mutant", [
+        # The sample's maximal final set taken as it is, with no walk.
+        lambda cells, k, target: True,
+        lambda cells, k, target: _walk(cells, k, target, sample_forbids=True),
+        lambda cells, k, target: _walk(cells, k, target, stop_at_sink=True),
+    ], ids=["f-max-no-walk", "sample-forbids-only", "stop-at-sink"])
+    def test_a_defective_walk_disagrees(self, mutant):
+        assert _disagreements(mutant)
 
 
 class TestCertify:

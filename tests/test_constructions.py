@@ -398,14 +398,16 @@ class TestCertificateChecks:
 def test_certificate_checks_run_under_optimize():
     """The checks above stay explicit raises: an ``assert`` in their place
     would be stripped by ``python -O`` and the class would fail there.  The
-    fooling-set verifier must reject the mutated paper sets there too."""
+    fooling-set verifier must reject the mutated paper sets there too, and
+    the survivor walk must agree with the oracle there."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
     result = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_constructions.py::TestCertificateChecks",
-         "tests/test_bounds.py::TestFoolingSetMutations"],
+         "tests/test_bounds.py::TestFoolingSetMutations",
+         "tests/test_bounds.py::TestSurvivorDecision"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
