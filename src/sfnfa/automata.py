@@ -43,7 +43,8 @@ class Alphabet:
         return tuple(self.index(ch) for ch in text)
 
     def text(self, word: Word) -> str:
-        return "".join(self.labels[i] for i in word)
+        labels = self.labels
+        return "".join([labels[i] for i in word])
 
 
 def alphabet(labels: str) -> Alphabet:
@@ -414,37 +415,31 @@ def dfa_complement(d: Dfa) -> Dfa:
 def enumerate_words(a: Nfa, max_len: int) -> list[Word]:
     """All members of L(a) of length <= max_len in length-then-lex order.
 
-    Walks the prefix trie breadth-first, pruning prefixes whose state set is
-    empty, so thin languages over large alphabets stay cheap.  Nodes with
-    one state set share its row of successor sets.
+    Walks the prefix trie breadth-first, one level of (word, state set)
+    pairs at a time, pruning prefixes whose state set is empty, so thin
+    languages over large alphabets stay cheap.  The non-empty successors of
+    each state set are computed once, with the one-symbol word that leads
+    to each; the last level yields its accepted words without pairs of its
+    own.
     """
+    if max_len < 0:
+        return []
     a = remove_lambda(a)
-    k = a.alphabet.size
-    rows: dict[int, tuple[int, ...]] = {}
-    out: list[Word] = []
+    succ, final_mask = a.succ, a.final_mask
+    symbols = [((x,), x) for x in range(a.alphabet.size)]
+    steps: dict[int, list[tuple[Word, int]]] = {}
     level: list[tuple[Word, int]] = [((), 1 << a.start)]
-    for length in range(max_len + 1):
-        nxt_level = []
-        for word, states in level:
-            if states & a.final_mask:
-                out.append(word)
-            if length < max_len:
-                row = rows.get(states)
-                if row is None:
-                    row = rows[states] = tuple(step(a.succ, states, x) for x in range(k))
-                for x, nxt in enumerate(row):
-                    if nxt:
-                        nxt_level.append((word + (x,), nxt))
-        level = nxt_level
+    out: list[Word] = [()] if final_mask >> a.start & 1 else []
+    for length in range(1, max_len + 1):
+        for states in {states for _, states in level}.difference(steps):
+            steps[states] = [(xt, nxt) for xt, x in symbols if (nxt := step(succ, states, x))]
+        if length == max_len:
+            out += [word + xt for word, states in level
+                    for xt, nxt in steps[states] if nxt & final_mask]
+        else:
+            level = [(word + xt, nxt) for word, states in level for xt, nxt in steps[states]]
+            out += [word for word, states in level if states & final_mask]
     return out
-
-
-def least_word(a: Nfa) -> Word | None:
-    """The length-lexicographically least word of L(a), or None: the word of
-    the first accepting set that ``reachable_sets`` discovers."""
-    a = remove_lambda(a)
-    return next((word for word, states in reachable_sets(a.succ, 1 << a.start)
-                 if states & a.final_mask), None)
 
 
 def product_intersection_with_pairs(a: Nfa, b: Nfa) -> tuple[Nfa, tuple[tuple[int, int], ...]]:
@@ -472,8 +467,3 @@ def product_intersection_with_pairs(a: Nfa, b: Nfa) -> tuple[Nfa, tuple[tuple[in
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:
     return product_intersection_with_pairs(a, b)[0]
-
-
-def is_empty(a: Nfa) -> bool:
-    """Language emptiness: no final state reachable from the start."""
-    return not _reach(_adjacency(a)[0], 1 << a.start) & a.final_mask

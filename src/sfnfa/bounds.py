@@ -272,23 +272,21 @@ def _default_ceiling(alphabet_size: int) -> int:
     return 3 if alphabet_size <= 2 else 2
 
 
-def _sample_trie(alphabet_size: int, depth: int):
-    """BFS word trie of every word of length <= depth: parent index,
-    edge symbol, and a (parent-word, symbol) expansion order."""
+def _sample_trie(alphabet_size: int, depth: int) -> tuple[list[int], list[int]]:
+    """BFS word trie of every word of length <= depth: each node's parent
+    index and edge symbol, the root first with -1 for both."""
     parents = [-1]
     symbols = [-1]
     level = [0]
-    nodes_words = [()]
     for _ in range(depth):
         nxt = []
         for node in level:
             for x in range(alphabet_size):
                 parents.append(node)
                 symbols.append(x)
-                nodes_words.append(nodes_words[node] + (x,))
                 nxt.append(len(parents) - 1)
         level = nxt
-    return parents, symbols, nodes_words
+    return parents, symbols
 
 
 def _survivor_equivalent(cells, k: int, target: Dfa) -> bool:
@@ -376,7 +374,8 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     k-state NFA with a non-empty language accepts a word of length at most
     k - 1, so every k up to the length of the shortest accepted word, read
     off the canonical DFA, is skipped as well.  The floor is searched once,
-    before the first k >= 2 to be enumerated, and with a limit of
+    on the trimmed lambda-free input, which the search then takes as it
+    is, before the first k >= 2 to be enumerated, and with a limit of
     min(stop, max_states + 1) pairs, which bounds the clique search; a
     search over its cell cap gives no floor.  The remaining sizes are
     enumerated: candidate tables are filtered against all words of length
@@ -397,7 +396,8 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
         )
     target = canonical_dfa(a)
     live = max(target.state_count - (target.sink is not None), 1)
-    known = min(trim(remove_lambda(a)).state_count, live)
+    trimmed = trim(remove_lambda(a))
+    known = min(trimmed.state_count, live)
     shortest = _shortest_accepted_length(target)
     floor = None
     for k in range(1, max_states + 1):
@@ -409,10 +409,10 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
             continue
         if k >= 2:
             if floor is None:
-                floor = _fooling_floor(a, known, max_states)
+                floor = _fooling_floor(trimmed, known, max_states)
             if k < floor:
                 continue
-        parents, symbols, _ = _sample_trie(sigma, 2 * k)
+        parents, symbols = _sample_trie(sigma, 2 * k)
         # Each trie node's target state, from its parent's; the target is
         # equivalent to a, so the node's word is in L(a) iff it is final.
         state = [target.start]

@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 
-from .automata import Alphabet, Dfa, Nfa, dfa_to_nfa
+from .automata import Alphabet, Dfa, Nfa
 from .errors import ParseError
 
 LAMBDA_LABEL = "~"
@@ -25,22 +25,37 @@ MAX_CELLS = 1 << 20
 MAX_MASK_BITS = 1 << 31
 
 
-def to_document(a: Nfa | Dfa) -> dict:
+def _transitions(a: Nfa | Dfa) -> list[list]:
+    """``[src, label, dst]`` for every transition, sorted: by state, then by
+    label with ``"~"`` among the labels, then by destination."""
+    labels = a.alphabet.labels
     if isinstance(a, Dfa):
-        a = dfa_to_nfa(a)
+        order = sorted(zip(labels, range(len(labels))))
+        return [[src, label, row[x]] for src, row in enumerate(a.table) for label, x in order]
+    # Index len(labels) of a state's row is its lambda mask.
+    order = sorted(zip((*labels, LAMBDA_LABEL), range(len(labels) + 1)))
+    out = []
+    for src, row in enumerate(a.succ):
+        row = (*row, a.lam[src])
+        for label, x in order:
+            mask = row[x]
+            while mask:
+                low = mask & -mask
+                out.append([src, label, low.bit_length() - 1])
+                mask ^= low
+    return out
+
+
+def to_document(a: Nfa | Dfa) -> dict:
     labels = a.alphabet.labels
     if LAMBDA_LABEL in labels:
         raise ValueError(f"alphabet label {LAMBDA_LABEL!r} is reserved for lambda edges")
-    triples = sorted(
-        (src, LAMBDA_LABEL if sym is None else labels[sym], dst)
-        for src, sym, dst in a.transitions
-    )
     return {
         "alphabet": list(labels),
         "states": a.state_count,
         "start": a.start,
         "finals": sorted(a.finals),
-        "transitions": [list(t) for t in triples],
+        "transitions": _transitions(a),
     }
 
 
@@ -141,17 +156,12 @@ def write_text_atomic(path, text: str) -> None:
 
 def to_dot(a: Nfa | Dfa, name: str = "automaton") -> str:
     """Graphviz DOT: double circles for finals, external arrow into start."""
-    if isinstance(a, Dfa):
-        a = dfa_to_nfa(a)
-    labels = a.alphabet.labels
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
     for q in range(a.state_count):
         shape = "doublecircle" if q in a.finals else "circle"
         lines.append(f"  q{q} [shape={shape}, label=\"{q}\"];")
     lines.append(f"  __start -> q{a.start};")
-    for src, sym, dst in sorted(
-        (s, LAMBDA_LABEL if x is None else labels[x], d) for s, x, d in a.transitions
-    ):
+    for src, sym, dst in _transitions(a):
         label = "λ" if sym == LAMBDA_LABEL else sym
         lines.append(f'  q{src} -> q{dst} [label="{label}"];')
     lines.append("}")

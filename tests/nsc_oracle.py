@@ -61,10 +61,18 @@ def survivor_equivalent(a: Nfa, k, cells, f_max, parents, symbols, labels, targe
     )
 
 
+def trie_words(parents, symbols) -> list[tuple[int, ...]]:
+    """The word of each node of a ``_sample_trie``, from its parent's."""
+    words = [()]
+    for parent, x in zip(parents[1:], symbols[1:]):
+        words.append(words[parent] + (x,))
+    return words
+
+
 def sample(a: Nfa, k: int):
     """The word trie of the size-k search and its labels by ``accepts``."""
-    parents, symbols, node_words = _sample_trie(a.alphabet.size, 2 * k)
-    return parents, symbols, [accepts(a, w) for w in node_words]
+    parents, symbols = _sample_trie(a.alphabet.size, 2 * k)
+    return parents, symbols, [accepts(a, w) for w in trie_words(parents, symbols)]
 
 
 def nsc_without_stop(a: Nfa, max_states: int) -> int | None:

@@ -1,5 +1,6 @@
 """Frozenset reference versions of the automaton algorithms, for
-differential tests of the bitmask core in ``sfnfa.automata``.
+differential tests of the bitmask core in ``sfnfa.automata`` and of the
+suffix-freeness walk in ``sfnfa.suffixfree``.
 
 They read only an ``Nfa``'s defining fields (start, finals, transitions)
 and simulate state sets as frozensets, one ``(state, symbol)`` lookup at a
@@ -7,6 +8,8 @@ time, so they share no code with the masks they check.
 """
 
 from sfnfa.automata import Dfa, Nfa
+from sfnfa.errors import CertificateError, PreconditionViolation
+from sfnfa.suffixfree import SuffixFreeness
 
 
 def delta(a: Nfa) -> dict:
@@ -182,3 +185,86 @@ def minimize(d: Dfa) -> Dfa:
 
 def canonical_dfa(a: Nfa) -> Dfa:
     return minimize(determinize(remove_lambda(a)))
+
+
+# The suffix-freeness check as a chain of automata: Sigma+ . L as an NFA of
+# its own, the reachable-pair product with it, emptiness, and the least word
+# of the product by a breadth-first search over its state sets.
+
+def proper_suffix_language(a: Nfa) -> Nfa:
+    """Lambda-free NFA for Sigma+ . L(a): state 0 reads the first
+    (mandatory) junk symbol into state 1, which loops on every symbol and
+    can also start simulating L(a) through copies of the start state's
+    out-transitions."""
+    offset = 2
+    trans = set()
+    for x in range(a.alphabet.size):
+        trans.add((0, x, 1))
+        trans.add((1, x, 1))
+    for src, sym, dst in a.transitions:
+        trans.add((src + offset, sym, dst + offset))
+        if src == a.start:
+            trans.add((1, sym, dst + offset))
+    finals = {q + offset for q in a.finals}
+    if a.start in a.finals:  # lambda in L: any nonempty junk word qualifies
+        finals.add(1)
+    return Nfa(a.state_count + offset, a.alphabet, 0, frozenset(finals), frozenset(trans))
+
+
+def product_intersection(a: Nfa, b: Nfa) -> Nfa:
+    """The product over the pairs reachable from (start, start)."""
+    da, db = delta(a), delta(b)
+    index = {(a.start, b.start): 0}
+    order = [(a.start, b.start)]
+    trans = set()
+    for src, (p, q) in enumerate(order):
+        for x in range(a.alphabet.size):
+            for p2 in da.get((p, x), ()):
+                for q2 in db.get((q, x), ()):
+                    if (p2, q2) not in index:
+                        index[p2, q2] = len(order)
+                        order.append((p2, q2))
+                    trans.add((src, x, index[p2, q2]))
+    finals = frozenset(i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals)
+    return Nfa(len(order), a.alphabet, 0, finals, frozenset(trans))
+
+
+def is_empty(a: Nfa) -> bool:
+    edges = {(src, dst) for src, _sym, dst in a.transitions}
+    return not _graph_reach(edges, {a.start}) & a.finals
+
+
+def least_word(a: Nfa):
+    """The length-lexicographically least word of L(a), or None: the word
+    of the first accepting state set of a breadth-first search over state
+    sets in symbol order."""
+    a = remove_lambda(a)
+    d = delta(a)
+    start = frozenset({a.start})
+    queue = [((), start)]
+    seen = {start}
+    for word, states in queue:
+        if states & a.finals:
+            return word
+        for x in range(a.alphabet.size):
+            nxt = frozenset(r for q in states for r in d.get((q, x), ()))
+            if nxt and nxt not in seen:
+                seen.add(nxt)
+                queue.append((word + (x,), nxt))
+    return None
+
+
+def is_suffix_free(a: Nfa) -> SuffixFreeness:
+    if any(sym is None for _, sym, _ in a.transitions):
+        raise PreconditionViolation("is_suffix_free requires a lambda-free NFA")
+    overlap = product_intersection(a, proper_suffix_language(a))
+    if is_empty(overlap):
+        return SuffixFreeness(True)
+    longer = least_word(overlap)
+    if longer is None:
+        raise CertificateError("the suffix overlap is non-empty but accepts no word")
+    for i in range(len(longer), 0, -1):  # shortest proper suffix first
+        shorter = longer[i:]
+        if accepts(a, shorter):
+            return SuffixFreeness(False, (shorter, longer))
+    raise CertificateError("the overlap word has no accepted proper suffix")

@@ -15,7 +15,6 @@ from sfnfa.automata import (
     empty_nfa,
     enumerate_words,
     equivalent,
-    least_word,
     make_nfa,
     minimize,
     product_intersection,
@@ -346,7 +345,8 @@ class TestMaskCoreAgainstSetOracle:
     @settings(max_examples=150, deadline=None)
     @given(random_lambda_nfas)
     def test_enumerate_words(self, a):
-        assert enumerate_words(a, 6) == set_oracle.enumerate_words(a, 6)
+        for max_len in (-1, 0, 1, 6):
+            assert enumerate_words(a, max_len) == set_oracle.enumerate_words(a, max_len)
 
     @settings(max_examples=150, deadline=None)
     @given(random_lambda_nfas)
@@ -374,7 +374,7 @@ class TestMaskCoreAgainstSetOracle:
     @given(random_lambda_nfas)
     def test_least_word_is_first_enumerated(self, a):
         words = enumerate_words(a, a.state_count)
-        assert least_word(a) == (words[0] if words else None)
+        assert set_oracle.least_word(a) == (words[0] if words else None)
 
 
 random_kernel_nfas = st.builds(

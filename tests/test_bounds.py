@@ -564,7 +564,7 @@ def _walk(cells, k, target, *, sample_forbids=False, stop_at_sink=False):
                 seen.add(pair)
                 queue.append(pair)
     if sample_forbids:
-        parents, symbols, _ = bounds._sample_trie(2, 2 * k)
+        parents, symbols = bounds._sample_trie(2, 2 * k)
         forbidden = 0
         state, reach = [target.start], [1]
         for i in range(1, len(parents)):

@@ -384,9 +384,10 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError, match="4 pairs exceeds an NFA of 3 states"):
             bounds.nsc_exhaustive(build(WitnessSpec(Family.LEMMA_L1, 3)), 3)
 
-    def test_suffix_overlap_without_word(self, monkeypatch):
-        monkeypatch.setattr(suffixfree, "least_word", lambda a: None)
-        with pytest.raises(CertificateError, match="accepts no word"):
+    def test_suffix_overlap_word_not_accepted(self, monkeypatch):
+        # The walk's overlap word for a* is "a", with the suffix λ.
+        monkeypatch.setattr(suffixfree, "accepts", lambda a, w: not w)
+        with pytest.raises(CertificateError, match="'a' is not accepted"):
             is_suffix_free(make_nfa(1, "ab", 0, [0], [(0, "a", 0)]))
 
     def test_suffix_witness_without_accepted_suffix(self, monkeypatch):
@@ -399,7 +400,8 @@ def test_certificate_checks_run_under_optimize():
     """The checks above stay explicit raises: an ``assert`` in their place
     would be stripped by ``python -O`` and the class would fail there.  The
     fooling-set verifier must reject the mutated paper sets there too, and
-    the survivor walk must agree with the oracle there."""
+    the survivor walk and the suffix-overlap walk must agree with their
+    oracles there."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -407,7 +409,8 @@ def test_certificate_checks_run_under_optimize():
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_constructions.py::TestCertificateChecks",
          "tests/test_bounds.py::TestFoolingSetMutations",
-         "tests/test_bounds.py::TestSurvivorDecision"],
+         "tests/test_bounds.py::TestSurvivorDecision",
+         "tests/test_suffix_free.py::TestWalkAgainstSetOracle"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr

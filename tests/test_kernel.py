@@ -5,21 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfnfa._kernel import filter_tables
-from sfnfa.automata import accepts, alphabet, empty_nfa, lambda_nfa, make_nfa
+from sfnfa.automata import alphabet, empty_nfa, lambda_nfa, make_nfa
 from sfnfa.bounds import _sample_trie
 from sfnfa.witnesses import Family, WitnessSpec, build
 
 import numpy_filter
-
-
-def trie_for(nfa, k):
-    parents, symbols, node_words = _sample_trie(nfa.alphabet.size, 2 * k)
-    labels = [accepts(nfa, w) for w in node_words]
-    return parents, symbols, labels
+from nsc_oracle import sample, trie_words
 
 
 def assert_matches_oracle(k, nfa):
-    args = (k, nfa.alphabet.size) + trie_for(nfa, k)
+    args = (k, nfa.alphabet.size) + sample(nfa, k)
     survivors = filter_tables(*args)
     assert survivors == numpy_filter.filter_tables(*args)
     return survivors
@@ -50,7 +45,7 @@ def test_empty_language_keeps_every_table():
 
 
 def test_cap_keeps_the_least_encodings():
-    args = (2, 2) + trie_for(empty_nfa(alphabet("ab")), 2)
+    args = (2, 2) + sample(empty_nfa(alphabet("ab")), 2)
     assert filter_tables(*args, cap=10) == numpy_filter.filter_tables(*args, cap=10)
 
 
@@ -77,7 +72,8 @@ def test_every_word_but_one_length(k, length):
     # Propagation reorders the work: rejected nodes of that length are
     # processed ahead of lower-index nodes that wait on a cell, and fill
     # the forbidden mask early.
-    parents, symbols, words = _sample_trie(2, 2 * k)
+    parents, symbols = _sample_trie(2, 2 * k)
+    words = trie_words(parents, symbols)
     args = (k, 2, parents, symbols, [len(w) != length for w in words])
     assert filter_tables(*args) == numpy_filter.filter_tables(*args)
 
@@ -86,7 +82,8 @@ def test_every_word_but_one_length(k, length):
 def test_one_word_of_as(length):
     # {a^L} at k=3: the one accepted node comes late in node order, and
     # rejected nodes processed out of order fill the forbidden mask first.
-    parents, symbols, words = _sample_trie(2, 6)
+    parents, symbols = _sample_trie(2, 6)
+    words = trie_words(parents, symbols)
     args = (3, 2, parents, symbols, [w == (0,) * length for w in words])
     assert filter_tables(*args) == numpy_filter.filter_tables(*args)
 
@@ -96,7 +93,7 @@ def labelled_tries(draw):
     k = draw(st.integers(1, 2))
     sigma = draw(st.integers(2, 3))
     depth = draw(st.integers(0, 2 * k))
-    parents, symbols, _ = _sample_trie(sigma, depth)
+    parents, symbols = _sample_trie(sigma, depth)
     labels = draw(st.lists(st.booleans(), min_size=len(parents), max_size=len(parents)))
     return k, sigma, parents, symbols, labels
 
@@ -114,7 +111,7 @@ def dense_tries(draw):
     k = draw(st.integers(1, 2))
     sigma = draw(st.integers(1, 3))
     p = draw(st.floats(0, 1))
-    parents, symbols, _ = _sample_trie(sigma, 2 * k)
+    parents, symbols = _sample_trie(sigma, 2 * k)
     coins = draw(st.lists(st.floats(0, 1, exclude_max=True),
                           min_size=len(parents), max_size=len(parents)))
     return k, sigma, parents, symbols, [c < p for c in coins]
@@ -129,7 +126,7 @@ def test_random_label_densities(args):
 def test_survivors_reproduce_sample():
     nfa = build(WitnessSpec(Family.LEMMA_L1, 2))
     k = 2
-    parents, symbols, labels = trie_for(nfa, k)
+    parents, symbols, labels = sample(nfa, k)
     survivors = filter_tables(k, 2, parents, symbols, labels)
     assert survivors
     # Re-simulate each survivor on the trie and compare labels.

@@ -2,8 +2,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sfnfa.automata import make_nfa
+from sfnfa.automata import Dfa, determinize, make_nfa, remove_lambda
 from sfnfa.constructions import complement_sf
 from sfnfa.errors import ParseError
 from sfnfa.serialize import dump, from_json, load, to_document, to_dot, to_json
@@ -18,6 +19,34 @@ def test_document_key_order_and_sorting():
     assert list(doc) == ["alphabet", "states", "start", "finals", "transitions"]
     assert doc["finals"] == [1, 2]
     assert doc["transitions"] == [[0, "b", 1], [0, "~", 2], [1, "a", 2]]
+
+
+def sorted_triples(a):
+    """Every transition as (src, label, dst), sorted as a list of triples."""
+    labels = a.alphabet.labels
+    if isinstance(a, Dfa):
+        triples = [(q, labels[x], r) for q, row in enumerate(a.table) for x, r in enumerate(row)]
+    else:
+        triples = [(q, "~" if x is None else labels[x], r) for q, x, r in a.transitions]
+    return sorted(triples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["ba", "b{a", "éa{", "{é"]),
+       st.sampled_from([0.0, 0.3]), st.booleans())
+def test_transitions_match_sorted_triples(seed, labels, lambda_prob, as_dfa):
+    # Emission walks the successor masks in label order; "{" sorts below
+    # "~" and "é" above it, and "ba" lists its labels out of index order.
+    a = random_nfa(random.Random(seed), max_states=6, labels=labels, lambda_prob=lambda_prob)
+    if as_dfa:
+        a = determinize(remove_lambda(a))
+    triples = sorted_triples(a)
+    doc = json.loads(to_json(a))
+    assert doc["transitions"] == [list(t) for t in triples]
+    assert doc["alphabet"] == list(labels)
+    edges = [line for line in to_dot(a).splitlines() if " -> q" in line][1:]
+    assert edges == [f'  q{q} -> q{r} [label="{"λ" if x == "~" else x}"];'
+                     for q, x, r in triples]
 
 
 def test_round_trip_100_random_nfas_byte_identical():

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfnfa.automata import accepts, empty_nfa, alphabet, lambda_nfa, make_nfa, remove_lambda, trim
 from sfnfa.suffixfree import is_non_returning, is_suffix_free
 from sfnfa.witnesses import Family, WitnessSpec, build
 
-from conftest import random_nfa
+import set_oracle
+from conftest import random_nfa, random_non_returning_nfa
 
 
 def a_star():
@@ -102,3 +104,32 @@ class TestIsSuffixFree:
             w = build(spec)
             assert is_suffix_free(w).suffix_free
             assert is_non_returning(trim(remove_lambda(w)))
+
+
+random_lambda_free_nfas = st.builds(
+    lambda seed, labels, returning: (
+        random_nfa(random.Random(seed), max_states=8, labels=labels, lambda_prob=0.0)
+        if returning else random_non_returning_nfa(random.Random(seed), 8, labels)),
+    st.integers(0, 2**31 - 1), st.sampled_from(["a", "ab", "abc"]), st.booleans(),
+)
+
+
+class TestWalkAgainstSetOracle:
+    """The pair walk against the chain it replaced: Sigma+ . L as an NFA,
+    the product, emptiness and the least word over state sets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_lambda_free_nfas)
+    def test_same_verdict_and_witness(self, a):
+        assert is_suffix_free(a) == set_oracle.is_suffix_free(a)
+
+    def test_pairs_sharing_a_least_word_step_together(self):
+        # "a" reaches the pairs (1, J1) and (2, J1) of the walk, J1 being
+        # the junk-prefix state of Sigma+ . L.  "aa" is the least overlap
+        # word, through (2, J1); a queue of single pairs would expand
+        # (1, J1) on b before (2, J1) on a and report ("b", "ab").
+        a = make_nfa(3, "ab", 0, [1], [(0, "a", 1), (0, "a", 2), (0, "b", 1),
+                                       (1, "b", 1), (2, "a", 1)])
+        want = (a.alphabet.word("a"), a.alphabet.word("aa"))
+        assert set_oracle.is_suffix_free(a).witness == want
+        assert is_suffix_free(a).witness == want
