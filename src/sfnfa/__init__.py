@@ -10,17 +10,12 @@ from .automata import (
     accepts,
     alphabet,
     canonical_dfa,
-    determinize,
-    dfa_accepts,
-    dfa_complement,
-    dfa_to_nfa,
     empty_nfa,
     enumerate_words,
     equivalent,
     lambda_nfa,
     make_nfa,
     minimize,
-    product_intersection,
     remove_lambda,
     trim,
 )
@@ -41,7 +36,6 @@ from .constructions import (
     complement_sf,
     concat_sf,
     intersect_sf,
-    left_quotient_symbol,
     reverse_nfa,
     star_sf,
     union_sf,
@@ -64,14 +58,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "Dfa", "Nfa", "Word", "accepts", "alphabet", "canonical_dfa",
-    "determinize", "dfa_accepts", "dfa_complement", "dfa_to_nfa", "empty_nfa",
-    "enumerate_words", "equivalent", "lambda_nfa", "make_nfa", "minimize",
-    "product_intersection", "remove_lambda", "trim",
+    "empty_nfa", "enumerate_words", "equivalent", "lambda_nfa", "make_nfa",
+    "minimize", "remove_lambda", "trim",
     "ComplexityReport", "FoolingFamily", "FoolingSet", "LowerBoundKind",
     "Operation", "certify", "formula_value", "nsc_exhaustive",
     "paper_fooling_set", "search_fooling_set", "verify_fooling_set",
-    "complement_sf", "concat_sf", "intersect_sf", "left_quotient_symbol",
-    "reverse_nfa", "star_sf", "union_sf",
+    "complement_sf", "concat_sf", "intersect_sf", "reverse_nfa", "star_sf", "union_sf",
     "BudgetExceeded", "NonReturningViolation", "ParameterOutOfRange",
     "ParseError", "PreconditionViolation", "SearchBudgetExceeded", "SfnfaError",
     "SuffixFreeViolation",

@@ -273,13 +273,6 @@ class Dfa:
                     raise ValueError("table entry out of range")
 
 
-def dfa_accepts(d: Dfa, w: Word) -> bool:
-    q = d.start
-    for c in w:
-        q = d.table[q][c]
-    return q in d.finals
-
-
 def _subset_walk(rows, start: int) -> tuple[list[list[int]], list[int]]:
     """The subset construction over masks: from the state set ``start``,
     breadth-first in symbol order, each discovered set's successor row as
@@ -318,10 +311,6 @@ def determinize_with_subsets(a: Nfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
     sink = next((i for i, sub in enumerate(order) if not sub), None)
     dfa = Dfa(len(order), a.alphabet, 0, finals, tuple(map(tuple, table)), sink=sink)
     return dfa, tuple(frozenset(bits(sub)) for sub in order)
-
-
-def determinize(a: Nfa) -> Dfa:
-    return determinize_with_subsets(a)[0]
 
 
 def _minimal(alpha: Alphabet, table, final: list[bool], start: int) -> Dfa:
@@ -400,18 +389,6 @@ def equivalent(a: Nfa, b: Nfa) -> bool:
     return canonical_dfa(a) == canonical_dfa(b)
 
 
-def dfa_to_nfa(d: Dfa) -> Nfa:
-    trans = frozenset(
-        (q, x, d.table[q][x]) for q in range(d.state_count) for x in range(d.alphabet.size)
-    )
-    return Nfa(d.state_count, d.alphabet, d.start, d.finals, trans)
-
-
-def dfa_complement(d: Dfa) -> Dfa:
-    finals = frozenset(q for q in range(d.state_count) if q not in d.finals)
-    return Dfa(d.state_count, d.alphabet, d.start, finals, d.table)
-
-
 def enumerate_words(a: Nfa, max_len: int) -> list[Word]:
     """All members of L(a) of length <= max_len in length-then-lex order.
 
@@ -463,7 +440,3 @@ def product_intersection_with_pairs(a: Nfa, b: Nfa) -> tuple[Nfa, tuple[tuple[in
     finals = frozenset(i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals)
     nfa = Nfa(len(order), a.alphabet, 0, finals, frozenset(trans))
     return nfa, tuple(order)
-
-
-def product_intersection(a: Nfa, b: Nfa) -> Nfa:
-    return product_intersection_with_pairs(a, b)[0]

@@ -238,27 +238,59 @@ def search_fooling_set(a: Nfa, *, limit: int | None = None) -> FoolingSet | None
 
 
 def _max_clique_exact(adj: list[int], *, limit: int | None = None) -> list[int]:
-    """A maximum clique, ascending, by branch and bound over bitmasks; of
-    the maximum cliques it returns the first in lexicographic order.  The
-    search returns as soon as its best clique has ``limit`` members."""
+    """A maximum clique, ascending, by branch and bound over bitmasks.  The
+    search returns as soon as its best clique has ``limit`` members.
+
+    The first best clique is greedy: the highest candidate, then the
+    highest one adjacent to every member so far.  The bound is the greedy
+    colouring of Tomita and Seki's MCQ (DMTCS 2003).  The candidates are
+    split into colour classes, each an independent set taken greedily in
+    ascending vertex order, so a clique among the candidates of the first
+    c classes has at most c members.  The search branches on the
+    candidates from the last class back, dropping each one after its
+    branch, and ends the loop at the first whose class number added to the
+    clique cannot beat the best clique.
+    """
     n = len(adj)
     goal = n if limit is None else limit
     best: list[int] = []
+    cand = (1 << n) - 1
+    while cand and len(best) < goal:
+        v = cand.bit_length() - 1
+        best.append(v)
+        cand &= adj[v]
+    if len(best) >= goal:
+        return sorted(best)
+    # apart[v]: the vertices that may share v's colour class.
+    apart = [~(a | 1 << v) for v, a in enumerate(adj)]
 
     def expand(clique: list[int], cand_mask: int) -> None:
         nonlocal best
         if len(clique) > len(best):
-            best = list(clique)
-        m = cand_mask
-        while m and len(best) < goal:
-            if len(clique) + m.bit_count() <= len(best):
-                return
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            expand(clique + [v], cand_mask & adj[v] & ~((1 << (v + 1)) - 1))
+            best = clique
+        classes = []
+        uncoloured = cand_mask
+        while uncoloured:
+            free = uncoloured
+            members = 0
+            while free:
+                low = free & -free
+                free &= apart[low.bit_length() - 1]
+                members |= low
+            uncoloured ^= members
+            classes.append(members)
+        for colour in range(len(classes), 0, -1):
+            members = classes[colour - 1]
+            while members:
+                if len(best) >= goal or len(clique) + colour <= len(best):
+                    return
+                v = members.bit_length() - 1
+                members ^= 1 << v
+                expand(clique + [v], cand_mask & adj[v])
+                cand_mask ^= 1 << v
 
     expand([], (1 << n) - 1)
-    return best
+    return sorted(best)
 
 
 # Exhaustive search ceilings: the full table space (2^k)^(k * sigma) has to

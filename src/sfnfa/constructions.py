@@ -15,7 +15,6 @@ from .automata import (
     bits,
     determinize_with_subsets,
     product_intersection_with_pairs,
-    step,
     trim_with_indices,
 )
 from .errors import (
@@ -222,30 +221,3 @@ def complement_sf(a: Nfa, strict: bool = False) -> Dfa:
         raise CertificateError(f"complement has {dfa.state_count} states, above its bound {bound}")
     finals = frozenset(q for q in range(dfa.state_count) if q not in dfa.finals)
     return Dfa(dfa.state_count, dfa.alphabet, dfa.start, finals, dfa.table, sink=dfa.sink)
-
-
-def left_quotient_symbol(a: Nfa, c: int, drop_symbol: bool = False) -> Nfa:
-    """Quotient {w : c.w in L(a)} via a fresh start that simulates reading
-    c first.  ``drop_symbol`` deletes all remaining c-transitions, which
-    restricts the result to the sub-alphabet without c."""
-    _require_lambda_free(a, "input")
-    if not 0 <= c < a.alphabet.size:
-        raise ValueError("quotient symbol out of range")
-    new_start = a.state_count
-    after_c = a.succ[a.start][c]
-    trans = set(a.transitions)
-    for x in range(a.alphabet.size):
-        for dst in bits(step(a.succ, after_c, x)):
-            trans.add((new_start, x, dst))
-    if drop_symbol:
-        trans = {(s, x, d) for s, x, d in trans if x != c}
-    finals_out = set(a.finals)
-    if after_c & a.final_mask:
-        finals_out.add(new_start)
-    return Nfa(
-        a.state_count + 1,
-        a.alphabet,
-        new_start,
-        frozenset(finals_out),
-        frozenset(trans),
-    )

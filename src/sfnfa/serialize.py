@@ -46,12 +46,15 @@ def _transitions(a: Nfa | Dfa) -> list[list]:
     return out
 
 
-def to_document(a: Nfa | Dfa) -> dict:
-    labels = a.alphabet.labels
-    if LAMBDA_LABEL in labels:
+def _refuse_lambda_label(a: Nfa | Dfa) -> None:
+    if LAMBDA_LABEL in a.alphabet.labels:
         raise ValueError(f"alphabet label {LAMBDA_LABEL!r} is reserved for lambda edges")
+
+
+def to_document(a: Nfa | Dfa) -> dict:
+    _refuse_lambda_label(a)
     return {
-        "alphabet": list(labels),
+        "alphabet": list(a.alphabet.labels),
         "states": a.state_count,
         "start": a.start,
         "finals": sorted(a.finals),
@@ -155,14 +158,17 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def to_dot(a: Nfa | Dfa, name: str = "automaton") -> str:
-    """Graphviz DOT: double circles for finals, external arrow into start."""
+    """Graphviz DOT: double circles for finals, external arrow into start.
+    Lambda edges are labelled λ, so a ``"~"`` label is refused as in
+    ``to_document``; ``"`` and ``\\`` in a label are escaped."""
+    _refuse_lambda_label(a)
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
     for q in range(a.state_count):
         shape = "doublecircle" if q in a.finals else "circle"
         lines.append(f"  q{q} [shape={shape}, label=\"{q}\"];")
     lines.append(f"  __start -> q{a.start};")
     for src, sym, dst in _transitions(a):
-        label = "λ" if sym == LAMBDA_LABEL else sym
+        label = "λ" if sym == LAMBDA_LABEL else sym.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  q{src} -> q{dst} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

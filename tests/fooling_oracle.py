@@ -186,3 +186,29 @@ def _clique_greedy(adj, target_size, seed, restarts) -> list[int]:
             if len(best) >= target_size:
                 return best
     return best
+
+
+def max_clique_by_count(adj: list[int], *, limit: int | None = None) -> list[int]:
+    """The package's former exact clique search, the reference for
+    ``bounds._max_clique_exact``: a maximum clique, ascending, the first in
+    lexicographic order, by branch and bound over bitmasks that prunes only
+    by the count of remaining candidates.  It returns as soon as its best
+    clique has ``limit`` members."""
+    n = len(adj)
+    goal = n if limit is None else limit
+    best: list[int] = []
+
+    def expand(clique: list[int], cand_mask: int) -> None:
+        nonlocal best
+        if len(clique) > len(best):
+            best = list(clique)
+        m = cand_mask
+        while m and len(best) < goal:
+            if len(clique) + m.bit_count() <= len(best):
+                return
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            expand(clique + [v], cand_mask & adj[v] & ~((1 << (v + 1)) - 1))
+
+    expand([], (1 << n) - 1)
+    return best

@@ -7,7 +7,6 @@ import time
 
 from sfnfa.automata import (
     accepts,
-    dfa_accepts,
     enumerate_words,
     lambda_nfa,
     alphabet,
@@ -34,6 +33,7 @@ from sfnfa.serialize import from_json, to_json
 from sfnfa.suffixfree import is_suffix_free
 from sfnfa.witnesses import Family, WitnessSpec, build
 
+from automata_extras import dfa_accepts
 from conftest import all_words, random_nfa
 
 

@@ -9,15 +9,12 @@ from sfnfa.automata import (
     accepts,
     alphabet,
     canonical_dfa,
-    determinize,
     determinize_with_subsets,
-    dfa_accepts,
     empty_nfa,
     enumerate_words,
     equivalent,
     make_nfa,
     minimize,
-    product_intersection,
     remove_lambda,
     trim,
     trim_with_indices,
@@ -27,6 +24,7 @@ from sfnfa.suffixfree import is_non_returning
 from sfnfa.witnesses import Family, WitnessSpec, build
 
 import set_oracle
+from automata_extras import determinize, dfa_accepts, product_intersection
 from conftest import all_words, random_nfa, random_non_returning_nfa
 from fooling_oracle import word_masks
 
@@ -224,7 +222,7 @@ class TestEquivalent:
 
     def test_union_matches_oracle_m2_n2(self):
         from sfnfa.constructions import union_sf
-        from sfnfa.automata import dfa_to_nfa
+        from automata_extras import dfa_to_nfa
 
         left, right = build(WitnessSpec(Family.UNION_PAIR, 2, 2))
         assert equivalent(union_sf(left, right), dfa_to_nfa(oracle_union(left, right)))

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +36,11 @@ from sfnfa.errors import (
 from sfnfa.witnesses import Family, WitnessSpec, build
 
 from conftest import random_nfa, random_non_returning_nfa
-from fooling_oracle import bounded_word_fooling_set, pairwise_verify_fooling_set
+from fooling_oracle import (
+    bounded_word_fooling_set,
+    max_clique_by_count,
+    pairwise_verify_fooling_set,
+)
 import nsc_oracle
 import set_oracle
 from nsc_oracle import nsc_without_stop
@@ -263,7 +268,7 @@ class TestSearchFoolingSet:
         w = build(WitnessSpec(Family.REVERSAL, 4))
         rev = reverse_nfa(w)
         fs = search_fooling_set(rev)
-        assert fs == FoolingSet((("", "bd"), ("a", "d"), ("c", "cd"), ("d", "")))
+        assert fs == FoolingSet((("a", "d"), ("b", "bd"), ("c", "cd"), ("d", "")))
         assert verify_fooling_set(rev, fs)
 
     @pytest.mark.parametrize("m", range(4, 11))
@@ -330,12 +335,68 @@ def test_search_with_limit_returns_min_of_limit_and_maximum(seed, returning, lim
 
 
 def test_limit_bounds_the_slow_clique_search():
-    # A 10-state NFA whose unbounded clique search takes seconds; the
-    # minimal-NFA search only asks for max_states + 1 pairs.
+    # A 10-state NFA with a 378-cell clique graph; the minimal-NFA search
+    # only asks for max_states + 1 pairs.
     a = random_nfa(random.Random(30), max_states=10, lambda_prob=0)
     fs = search_fooling_set(a, limit=4)
     assert len(fs) == 4 and verify_fooling_set(a, fs)
     assert nsc_exhaustive(a, 3) == nsc_without_stop(a, 3)
+
+
+def _clique_graph(a):
+    """The compatibility graph that ``search_fooling_set(a)`` hands to the
+    clique search, or None when it has none."""
+    with mock.patch.object(bounds, "_max_clique_exact",
+                           wraps=bounds._max_clique_exact) as spy:
+        try:
+            search_fooling_set(a)
+        except SearchBudgetExceeded:
+            return None
+    return spy.call_args.args[0] if spy.called else None
+
+
+def _is_clique(adj, members):
+    return members == sorted(set(members)) and all(
+        adj[u] >> v & 1 for u in members for v in members if u != v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.integers(0, 8))
+def test_colouring_bound_matches_the_count_bound(seed, returning, limit):
+    # The clique search with the colouring bound against the former search,
+    # which prunes by the count of candidates, on the graphs of random NFAs.
+    # The former search takes up to minutes on some graphs of 400 cells, so
+    # the graphs compared are kept to 100 cells.
+    rng = random.Random(seed)
+    a = (random_nfa if returning else random_non_returning_nfa)(rng, max_states=7)
+    adj = _clique_graph(a)
+    if adj is None or len(adj) > 100:
+        return
+    clique = bounds._max_clique_exact(adj)
+    assert _is_clique(adj, clique)
+    assert len(clique) == len(max_clique_by_count(adj))
+    capped = bounds._max_clique_exact(adj, limit=limit)
+    assert _is_clique(adj, capped)
+    assert len(capped) == len(max_clique_by_count(adj, limit=limit)) == min(limit, len(clique))
+
+
+class TestCliqueLimit:
+    # A 10-state NFA whose clique graph has 378 cells and a clique of 7.
+    SEED30 = random_nfa(random.Random(30), max_states=10, lambda_prob=0)
+
+    def test_limit_returns_min_of_limit_and_maximum(self):
+        adj = _clique_graph(self.SEED30)
+        assert len(adj) == 378
+        assert len(bounds._max_clique_exact(adj)) == 7
+        for limit in range(10):
+            clique = bounds._max_clique_exact(adj, limit=limit)
+            assert _is_clique(adj, clique) and len(clique) == min(limit, 7)
+
+    def test_edge_cases(self):
+        assert bounds._max_clique_exact([]) == []
+        assert len(bounds._max_clique_exact([0, 0, 0])) == 1
+        assert bounds._max_clique_exact([0b110, 0b101, 0b011], limit=0) == []
+        assert bounds._max_clique_exact([0b110, 0b101, 0b011]) == [0, 1, 2]
 
 
 @settings(max_examples=100, deadline=None)

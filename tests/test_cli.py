@@ -297,7 +297,8 @@ class TestCertifyTable:
     def test_table_golden(self, runner, fmt):
         # csv and text were captured before the operation registry, json
         # too except for reversal's fooling sets, which come from the exact
-        # search over the reduced automaton matrix.
+        # search over the reduced automaton matrix and were captured again
+        # when its clique search took the colouring bound.
         golden = Path(__file__).parent / "fixtures" / f"table_m2-8_n2-8_seed0.{fmt}"
         result = runner.invoke(
             main, ["table", "--m", "2..8", "--n", "2..8", "--format", fmt, "--seed", "0"]
@@ -389,7 +390,7 @@ _json_values = st.recursive(
     max_leaves=10,
 )
 _states = st.integers(-1, 7)
-_labels = st.sampled_from(["a", "b", "c", "~", "ab", "", 0, None])
+_labels = st.sampled_from(["a", "b", "c", "~", "ab", "", '"', "\\", 0, None])
 _documents = st.builds(
     lambda doc, dropped: {k: v for k, v in doc.items() if k not in dropped},
     st.fixed_dictionaries({

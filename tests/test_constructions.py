@@ -13,8 +13,6 @@ from sfnfa.automata import (
     Nfa,
     accepts,
     alphabet,
-    dfa_accepts,
-    dfa_to_nfa,
     empty_nfa,
     enumerate_words,
     equivalent,
@@ -28,7 +26,6 @@ from sfnfa.constructions import (
     concat_sf,
     intersect_sf,
     intersect_sf_with_pairs,
-    left_quotient_symbol,
     reverse_nfa,
     star_sf,
     union_sf,
@@ -37,6 +34,7 @@ from sfnfa.errors import CertificateError, NonReturningViolation, SuffixFreeViol
 from sfnfa.suffixfree import is_suffix_free
 from sfnfa.witnesses import Family, WitnessSpec, build
 
+from automata_extras import dfa_accepts, dfa_complement, dfa_to_nfa, left_quotient_symbol
 from conftest import all_words
 
 
@@ -225,8 +223,6 @@ class TestComplement:
             assert dfa_accepts(d, word) == (not accepts(w, word))
 
     def test_double_complement(self):
-        from sfnfa.automata import dfa_complement
-
         w = build(WitnessSpec(Family.LEMMA_L2, 4))
         assert equivalent(dfa_to_nfa(dfa_complement(complement_sf(w))), w)
 

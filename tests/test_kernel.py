@@ -2,7 +2,7 @@
 survivor list for survivor list, order included."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sfnfa._kernel import filter_tables
 from sfnfa.automata import alphabet, empty_nfa, lambda_nfa, make_nfa
@@ -120,6 +120,51 @@ def dense_tries(draw):
 @settings(max_examples=150, deadline=None)
 @given(dense_tries())
 def test_random_label_densities(args):
+    assert filter_tables(*args) == numpy_filter.filter_tables(*args)
+
+
+def dfa_labels(parents, symbols, table, finals):
+    """The trie's labels under a complete DFA with start 0: its word is
+    accepted when the DFA ends in a final state."""
+    state = [0]
+    for i in range(1, len(parents)):
+        state.append(table[state[parents[i]]][symbols[i]])
+    return [q in finals for q in state]
+
+
+@st.composite
+def dfa_labelled_k3(draw):
+    # Binary tries of every word up to length 6, labelled by DFAs of up to
+    # 4 states.  Samples with no accepted word, or with most words accepted,
+    # keep tens of thousands of tables and are left to the fixed cases.
+    nq = draw(st.integers(1, 4))
+    table = draw(st.lists(st.lists(st.integers(0, nq - 1), min_size=2, max_size=2),
+                          min_size=nq, max_size=nq))
+    finals = draw(st.sets(st.integers(0, nq - 1)))
+    parents, symbols = _sample_trie(2, 6)
+    labels = dfa_labels(parents, symbols, table, finals)
+    assume(0 < sum(labels) <= 96)
+    return 3, 2, parents, symbols, labels
+
+
+@settings(max_examples=6, deadline=None)
+@given(dfa_labelled_k3())
+def test_dfa_labelled_k3(args):
+    assert filter_tables(*args) == numpy_filter.filter_tables(*args)
+
+
+@pytest.mark.parametrize("table, finals", [
+    ([[1, 1], [1, 1]], {0}),  # {λ}
+    ([[1, 0], [1, 1]], {0}),  # b*
+])
+def test_pending_cut_through_the_root(table, finals):
+    # The empty word is accepted, so the root's reach {0} is an accepted
+    # reach from the start.  A rejected node that waits on a cell after
+    # reading an assigned cell holding state 0 already puts state 0 in the
+    # pending reach, and the branch is cut there, before any other accepted
+    # node is processed.
+    parents, symbols = _sample_trie(2, 6)
+    args = (3, 2, parents, symbols, dfa_labels(parents, symbols, table, finals))
     assert filter_tables(*args) == numpy_filter.filter_tables(*args)
 
 

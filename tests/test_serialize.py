@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfnfa.automata import Dfa, determinize, make_nfa, remove_lambda
+from sfnfa.automata import Dfa, make_nfa, remove_lambda
 from sfnfa.constructions import complement_sf
 from sfnfa.errors import ParseError
 from sfnfa.serialize import dump, from_json, load, to_document, to_dot, to_json
 from sfnfa.witnesses import Family, WitnessSpec, build
 
+from automata_extras import determinize
 from conftest import random_nfa
 
 
@@ -150,3 +151,16 @@ def test_dot_export_shape():
     assert "doublecircle" in dot
     assert "__start -> q0;" in dot
     assert '[label="b"]' in dot
+
+
+def test_dot_escapes_quote_and_backslash():
+    a = make_nfa(2, ['"', "\\"], 0, [1], [(0, '"', 1), (1, "\\", 0)])
+    edges = [line for line in to_dot(a).splitlines() if " -> q" in line][1:]
+    assert edges == ['  q0 -> q1 [label="\\""];', '  q1 -> q0 [label="\\\\"];']
+
+
+def test_dot_refuses_the_lambda_label():
+    # A "~" edge would be drawn as λ, the same as a lambda edge.
+    a = make_nfa(2, "~a", 0, [1], [(0, "~", 1), (0, None, 1)])
+    with pytest.raises(ValueError, match="reserved for lambda edges"):
+        to_dot(a)

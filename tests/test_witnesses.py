@@ -77,7 +77,7 @@ class TestLanguages:
     def test_intersect_pair_m2_n2(self):
         left, right = build(WitnessSpec(Family.INTERSECT_PAIR, 2, 2))
         # mod-1 counters accept every {a,b}* body after the leading c.
-        from sfnfa.automata import product_intersection
+        from automata_extras import product_intersection
 
         inter = product_intersection(left, right)
         got = {inter.alphabet.text(w) for w in enumerate_words(inter, 3)}
