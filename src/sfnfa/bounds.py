@@ -15,6 +15,7 @@ from .automata import (
     Nfa,
     accepts,  # no longer called here; the benchmark's tracer wraps it at this name
     alphabet,
+    bits,
     canonical_dfa,
     lambda_nfa,
     pred_rows,
@@ -181,6 +182,37 @@ def paper_fooling_set(family: FoolingFamily, m: int, n: int | None = None) -> Fo
 # The most matrix cells the exact clique search takes on.  It recurses once
 # per clique member, so the cap has to stay below Python's recursion limit.
 _CELL_CAP = 512
+# The most nodes the cover search spends, a branch or a listed prime grid
+# each, before it gives no answer.
+_COVER_NODES = 20000
+
+
+def _automaton_matrix(t: Nfa):
+    """The automaton matrix of the trim lambda-free ``t`` (see
+    ``search_fooling_set``), or ``SearchBudgetExceeded`` past _CELL_CAP
+    cells: ``(rows, cols, cells, in_row, in_col)``, rows and columns as
+    (word, state set), a column's word read backwards, cells as the (i, j)
+    whose row and column meet, and ``in_row[i]``, ``in_col[j]`` the
+    bitmasks of the cells of row i and of column j."""
+    # On a trim automaton every row and every column holds a cell, so more
+    # than _CELL_CAP of either already exceeds the cap.
+    rows = list(islice(reachable_sets(t.succ, 1 << t.start), _CELL_CAP + 1))
+    cols = list(islice(reachable_sets(pred_rows(t), t.final_mask), _CELL_CAP + 1))
+    # The cells are listed only once rows and columns are under the cap.
+    if max(len(rows), len(cols)) > _CELL_CAP or len(
+        cells := [(i, j) for i, (_, r) in enumerate(rows)
+                  for j, (_, c) in enumerate(cols) if r & c]
+    ) > _CELL_CAP:
+        raise SearchBudgetExceeded(
+            f"the automaton matrix has more than {_CELL_CAP} cells, the search cap",
+            best_size=1,
+        )
+    in_row = [0] * len(rows)
+    in_col = [0] * len(cols)
+    for v, (i, j) in enumerate(cells):
+        in_row[i] |= 1 << v
+        in_col[j] |= 1 << v
+    return rows, cols, cells, in_row, in_col
 
 
 def search_fooling_set(a: Nfa, *, limit: int | None = None) -> FoolingSet | None:
@@ -198,30 +230,11 @@ def search_fooling_set(a: Nfa, *, limit: int | None = None) -> FoolingSet | None
     maximum fooling set (Birget 1992); the clique search is exact.  The
     set is re-checked by ``verify_fooling_set`` before it is returned.
     """
-    t = trim(remove_lambda(a))
-    # On a trim automaton every row and every column holds a cell, so more
-    # than _CELL_CAP of either already exceeds the cap.
-    rows = list(islice(reachable_sets(t.succ, 1 << t.start), _CELL_CAP + 1))
-    cols = list(islice(reachable_sets(pred_rows(t), t.final_mask), _CELL_CAP + 1))
-    # The cells are listed only once rows and columns are under the cap.
-    if max(len(rows), len(cols)) > _CELL_CAP or len(
-        cells := [(i, j) for i, (_, r) in enumerate(rows)
-                  for j, (_, c) in enumerate(cols) if r & c]
-    ) > _CELL_CAP:
-        raise SearchBudgetExceeded(
-            f"the automaton matrix has more than {_CELL_CAP} cells, the search cap",
-            best_size=1,
-        )
+    rows, cols, cells, in_row, in_col = _automaton_matrix(trim(remove_lambda(a)))
     if not cells:
         return None
-
     # Cell (i, j) clashes with the cells whose row meets column j and whose
     # column meets row i, which includes (i, j) itself.
-    in_row = [0] * len(rows)
-    in_col = [0] * len(cols)
-    for v, (i, j) in enumerate(cells):
-        in_row[i] |= 1 << v
-        in_col[j] |= 1 << v
     meets_col = [sum(in_row[i] for i, (_, r) in enumerate(rows) if r & c) for _, c in cols]
     meets_row = [sum(in_col[j] for j, (_, c) in enumerate(cols) if r & c) for _, r in rows]
     full = (1 << len(cells)) - 1
@@ -291,6 +304,131 @@ def _max_clique_exact(adj: list[int], *, limit: int | None = None) -> list[int]:
 
     expand([], (1 << n) - 1)
     return sorted(best)
+
+
+def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
+    """An NFA for L(a) with one state per pair of the verified fooling set
+    ``fs``, or None when the search finds none within _COVER_NODES nodes.
+    Past the cell cap it raises ``SearchBudgetExceeded``, as
+    ``search_fooling_set`` does.
+
+    The NFA is built from a cover of the automaton matrix by grids, as in
+    Kameda and Weiner (1970), read as grids by Tamm (ICALP 2016).  A grid is
+    a set of rows times a set of columns whose cells all meet; a prime grid
+    is one that no other grid contains, and its columns are the
+    intersection of its rows' supports.  Two cells of a fooling set never
+    share a grid, so a cover by len(fs) grids gives each fooling cell a
+    grid of its own.  The search branches on the fooling cells, the one
+    with the fewest prime grids through it first, picks one such grid for
+    each, allows at most one grid that holds the row of the empty word, and
+    cuts a branch once the grids left to it cannot cover every cell.  Each
+    grid of a cover is a state: the start is the grid holding the empty
+    word's row, the finals the grids holding its column, and a grid p steps
+    to a grid q on x when every row of p has a non-empty x-successor and
+    each is a row of q (the intersection rule).  The NFA is kept only if
+    its canonical DFA equals a's, so whatever cover is tried, the answer is
+    exact: an NFA of len(fs) states meets the bound of len(fs) pairs.
+    """
+    if not fs.pairs:
+        return None
+    t = trim(remove_lambda(a))
+    rows, cols, cells, in_row, in_col = _automaton_matrix(t)
+    sigma = t.alphabet.size
+    row_of = {r: i for i, (_, r) in enumerate(rows)}
+    col_of = {c: j for j, (_, c) in enumerate(cols)}
+    fwd = _label_walker(t.succ, 1 << t.start, t.alphabet.index)
+    bwd = _label_walker(pred_rows(t), t.final_mask, t.alphabet.index)
+    fooling = [(row_of[fwd(x)], col_of[bwd(w[::-1])]) for x, w in fs.pairs]
+    # support[i]: the columns that row i meets; next_row[i][x]: the row
+    # that row i steps to on x, or -1 for the empty set.
+    support = [sum(1 << j for j, (_, c) in enumerate(cols) if r & c) for _, r in rows]
+    next_row = [[row_of.get(step(t.succ, r, x), -1) for x in range(sigma)]
+                for _, r in rows]
+    nodes = _COVER_NODES
+
+    def spent() -> bool:
+        nonlocal nodes
+        nodes -= 1
+        return nodes < 0
+
+    def prime_grids(i: int, j: int) -> list[tuple[int, int, int]] | None:
+        """The prime grids through cell (i, j) as bitmasks (cells, rows,
+        columns), most cells first.  Their column sets are the support of
+        row i cut by supports of rows through column j."""
+        through = [s for s in support if s >> j & 1]
+        found = [support[i]]
+        seen = set(found)
+        for c in found:  # grows as column sets are found
+            for s in through:
+                if (d := c & s) not in seen:
+                    if spent():
+                        return None
+                    seen.add(d)
+                    found.append(d)
+        grids = []
+        for c in found:
+            in_rows = row_cells = col_cells = 0
+            for r, s in enumerate(support):
+                if s & c == c:
+                    in_rows |= 1 << r
+                    row_cells |= in_row[r]
+            for col in bits(c):
+                col_cells |= in_col[col]
+            grids.append((row_cells & col_cells, in_rows, c))
+        return sorted(grids, key=lambda g: -g[0].bit_count())
+
+    options = []
+    for i, j in fooling:
+        grids = prime_grids(i, j)
+        if grids is None:
+            return None
+        options.append(grids)
+    options.sort(key=len)
+    # reach[d]: the cells that the grids of options[d:] can cover.
+    reach = [0] * (len(options) + 1)
+    for d in range(len(options) - 1, -1, -1):
+        reach[d] = reach[d + 1]
+        for mask, _, _ in options[d]:
+            reach[d] |= mask
+    full = (1 << len(cells)) - 1
+    target = canonical_dfa(t)
+    chosen: list[tuple[int, int, int]] = []
+
+    def build() -> Nfa:
+        trans = set()
+        for p, (_, from_rows, _) in enumerate(chosen):
+            for x in range(sigma):
+                need = 0
+                for r in bits(from_rows):
+                    if (nxt := next_row[r][x]) < 0:
+                        break
+                    need |= 1 << nxt
+                else:
+                    trans.update((p, x, q) for q, (_, to_rows, _) in enumerate(chosen)
+                                 if not need & ~to_rows)
+        # Row 0 is the empty word's and column 0 its column.
+        start, = (p for p, (_, in_rows, _) in enumerate(chosen) if in_rows & 1)
+        finals = frozenset(p for p, (_, _, c) in enumerate(chosen) if c & 1)
+        return Nfa(len(chosen), t.alphabet, start, finals, frozenset(trans))
+
+    def cover(d: int, covered: int, has_start: int) -> Nfa | None:
+        if spent() or covered | reach[d] != full:
+            return None
+        if d == len(options):
+            nfa = build()
+            return nfa if canonical_dfa(nfa) == target else None
+        for grid in options[d]:
+            starts = grid[1] & 1
+            if starts and has_start:
+                continue
+            chosen.append(grid)
+            found = cover(d + 1, covered | grid[0], has_start | starts)
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    return cover(0, 0, 0)
 
 
 # Exhaustive search ceilings: the full table space (2^k)^(k * sigma) has to
@@ -377,73 +515,73 @@ def _shortest_accepted_length(d: Dfa) -> int | None:
     return None
 
 
-def _fooling_floor(a: Nfa, known: int, max_states: int) -> int:
-    """The size of a verified fooling set of L(a), at most
-    min(known, max_states + 1), or 0 past the search's cell cap.  ``known``
-    is the size of an NFA for L(a), so a larger set is a contradiction."""
+def _fooling_floor(a: Nfa, known: int, max_states: int) -> FoolingSet | None:
+    """A verified fooling set of L(a) of at most min(known, max_states + 1)
+    pairs, or None for the empty language or past the search's cell cap.
+    ``known`` is the size of an NFA for L(a), so a larger set is a
+    contradiction."""
     try:
         fs = search_fooling_set(a, limit=min(known, max_states + 1))
     except SearchBudgetExceeded:
-        return 0
-    floor = len(fs) if fs else 0
-    if floor > known:
+        return None
+    if fs is not None and len(fs) > known:
         raise CertificateError(
-            f"a fooling set of {floor} pairs exceeds an NFA of {known} states"
+            f"a fooling set of {len(fs)} pairs exceeds an NFA of {known} states"
         )
-    return floor
+    return fs
 
 
 def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
-    """Least k <= max_states with a k-state lambda-free NFA equivalent to
-    L(a), by exhaustive enumeration with start fixed at state 0.
+    """Least k <= max_states with a k-state lambda-free NFA with one start
+    state for L(a), or None when every such NFA has more states.
 
-    Two such NFAs are already at hand: the trimmed lambda-free input, and
-    the canonical DFA without its dead state.  The search stops at the
-    smaller of their sizes, so only smaller sizes are enumerated and an
-    input that is already minimal never has its own size searched.  Every
-    NFA for L(a) has at least as many states as a fooling set has pairs,
-    so sizes below a verified fooling set (the floor) are skipped too.  A
-    k-state NFA with a non-empty language accepts a word of length at most
-    k - 1, so every k up to the length of the shortest accepted word, read
-    off the canonical DFA, is skipped as well.  The floor is searched once,
-    on the trimmed lambda-free input, which the search then takes as it
-    is, before the first k >= 2 to be enumerated, and with a limit of
-    min(stop, max_states + 1) pairs, which bounds the clique search; a
-    search over its cell cap gives no floor.  The remaining sizes are
-    enumerated: candidate tables are filtered against all words of length
-    <= 2k, labeled by walking the canonical DFA, by the propagating table
-    search, and each survivor is decided by one walk of its product with
-    the canonical DFA, which finds the largest final set that can work and
-    checks it (``_survivor_equivalent``).  The table budget is
-    checked at every k up to and including the stop, and a table search
-    that reaches the survivor cap raises ``BudgetExceeded`` rather than
-    answer from a list that may be truncated.
+    The trimmed lambda-free input and the canonical DFA without its dead
+    state are such NFAs; the smaller of their sizes, the stop, is the
+    answer unless a smaller size works.  Three floors rule sizes out: every
+    k with 2^k - 1 below the live states of the minimal DFA, since a k-state
+    NFA reaches at most 2^k - 1 non-empty state sets and each live state is
+    the language of one of them (the subset floor, which settles live <= 2
+    at once); every k up to the length of the shortest accepted word; and
+    every k below a verified fooling set, searched once on the trimmed input
+    with a limit of min(stop, max_states + 1) pairs, and none past its cell
+    cap.  When the fooling set is the largest floor and below the stop,
+    ``search_cover`` may meet it with an NFA of that size.  The sizes left
+    below the stop are enumerated: tables are filtered against all words of
+    length <= 2k, labeled by walking the canonical DFA, and each survivor is
+    decided by one walk of its product with that DFA
+    (``_survivor_equivalent``).  The state ceiling and the table budget
+    apply only to a size about to be enumerated, and a table search that
+    reaches the survivor cap raises ``BudgetExceeded`` rather than answer
+    from a list that may be truncated.
     """
     sigma = a.alphabet.size
-    ceiling = _default_ceiling(sigma)
-    if max_states > ceiling:
-        raise BudgetExceeded(
-            f"max_states {max_states} exceeds the ceiling {ceiling} for a "
-            f"{sigma}-symbol alphabet"
-        )
     target = canonical_dfa(a)
     live = max(target.state_count - (target.sink is not None), 1)
+    # The subset floor: every k < live.bit_length() has 2^k - 1 < live.  It
+    # is live itself for live <= 2, and the live states are then minimal.
+    low = live.bit_length()
+    if low == live:
+        return live if live <= max_states else None
     trimmed = trim(remove_lambda(a))
     known = min(trimmed.state_count, live)
     shortest = _shortest_accepted_length(target)
-    floor = None
-    for k in range(1, max_states + 1):
+    if shortest is not None:
+        low = max(low, shortest + 1)
+    if low < known and low <= max_states:
+        fs = _fooling_floor(trimmed, known, max_states)
+        if fs is not None and len(fs) >= low:
+            low = len(fs)
+            if low < known and low <= max_states and search_cover(trimmed, fs) is not None:
+                return low
+    ceiling = _default_ceiling(sigma)
+    for k in range(low, min(known, max_states + 1)):
+        if k > ceiling:
+            raise BudgetExceeded(
+                f"the table search for k={k} exceeds the ceiling {ceiling} "
+                f"for a {sigma}-symbol alphabet"
+            )
         if (1 << k) ** (k * sigma) > _TABLE_BUDGET:
             raise BudgetExceeded(f"table space for k={k} exceeds the budget")
-        if k == known:
-            return k
-        if shortest is not None and k <= shortest:
-            continue
-        if k >= 2:
-            if floor is None:
-                floor = _fooling_floor(trimmed, known, max_states)
-            if k < floor:
-                continue
         parents, symbols = _sample_trie(sigma, 2 * k)
         # Each trie node's target state, from its parent's; the target is
         # equivalent to a, so the node's word is in L(a) iff it is final.
@@ -461,7 +599,7 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
             )
         if any(_survivor_equivalent(cells, k, target) for cells, _ in survivors):
             return k
-    return None
+    return known if known <= max_states else None
 
 
 class Operation(enum.Enum):

@@ -239,15 +239,16 @@ def certify_cmd(operation, m, n, as_json, seed):
 
 
 def _parse_range(text):
+    """``A..B`` or ``A`` as a range; an empty one (B < A) is refused."""
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return range(int(lo), int(hi) + 1)
-        v = int(text)
-        return range(v, v + 1)
+        lo, hi = text.split("..") if ".." in text else (text, text)
+        values = range(int(lo), int(hi) + 1)
     except ValueError:
+        values = range(0)
+    if not values:
         click.echo(f"error: bad range {text!r}, expected A..B", err=True)
         sys.exit(2)
+    return values
 
 
 def _verdict(report) -> str:

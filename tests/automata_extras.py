@@ -1,6 +1,7 @@
 """Automaton helpers that only the tests use: DFA membership, complement
 and conversion to an NFA, the subset construction and the product without
-their state maps, and the left quotient by one symbol."""
+their state maps, the left quotient by one symbol, and complement
+witnesses whose complement DFA has 2^(m-1)+1 states."""
 
 from __future__ import annotations
 
@@ -10,10 +11,12 @@ from sfnfa.automata import (
     Word,
     bits,
     determinize_with_subsets,
+    make_nfa,
     product_intersection_with_pairs,
     step,
 )
-from sfnfa.constructions import _require_lambda_free
+from sfnfa.constructions import _require_lambda_free, complement_sf
+from sfnfa.witnesses import Family, WitnessSpec, build
 
 
 def dfa_accepts(d: Dfa, w: Word) -> bool:
@@ -62,3 +65,24 @@ def left_quotient_symbol(a: Nfa, c: int, drop_symbol: bool = False) -> Nfa:
     if after_c & a.final_mask:
         finals_out.add(new_start)
     return Nfa(a.state_count + 1, a.alphabet, new_start, frozenset(finals_out), frozenset(trans))
+
+
+# Binary cores K (start 0) for which the suffix-free c·K has a complement
+# DFA of 2^(m-1)+1 states and a fooling set of 2^(m-1) pairs, found by a
+# seeded hill climb on the fooling-set bound: (states, finals, edges).
+COMPLEMENT_CORES = {
+    3: (2, [1], [(0, "a", 0), (0, "a", 1), (0, "b", 1), (1, "a", 0)]),
+    4: (3, [0, 2], [(0, "a", 0), (0, "a", 1), (1, "a", 0), (1, "a", 2), (1, "b", 2),
+                    (2, "a", 2), (2, "b", 1)]),
+    5: (4, [3], [(0, "a", 1), (0, "b", 0), (1, "a", 3), (1, "b", 2), (2, "a", 2),
+                 (2, "b", 1), (2, "b", 3), (3, "a", 0), (3, "a", 3), (3, "b", 1)]),
+    6: (5, [1, 3], [(0, "a", 1), (0, "b", 2), (1, "a", 3), (1, "b", 1), (2, "a", 0),
+                    (2, "a", 3), (3, "a", 2), (3, "b", 4), (4, "a", 4), (4, "b", 0)]),
+}
+
+
+def complement_witness(m: int) -> Dfa:
+    """``complement_sf`` of the m-state c·K of ``COMPLEMENT_CORES[m]``."""
+    states, finals, edges = COMPLEMENT_CORES[m]
+    core = make_nfa(states, "ab", 0, finals, edges)
+    return complement_sf(build(WitnessSpec(Family.COMPLEMENT_PREFIXED, m, inner=core)))

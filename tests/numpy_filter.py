@@ -7,12 +7,39 @@ groups: cell ``j = state*s + symbol`` holds the successor set of that
 (state, symbol) as a bitmask.  All tables are filtered simultaneously
 against a labeled word trie: a table survives when some choice of final
 states reproduces the sample labels, and the maximal consistent final mask
-is reported alongside it.
+is reported alongside it.  The tables and each node's reachable states are
+computed once per trie and kept for the next call on the same trie.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+
+@lru_cache(maxsize=2)
+def _tables_and_reach(k, s, parents, symbols):
+    """The cell arrays of every table and the reach array of every trie
+    node, read-only.  They depend on the trie and not on its labels, so
+    calls that differ only in labels share them; at k=3 over two symbols
+    they take about 35 MB."""
+    ncells = k * s
+    full = (1 << k) - 1
+    idx = np.arange((1 << k) ** ncells, dtype=np.int64)
+    cells = [((idx >> (k * j)) & full).astype(np.uint8) for j in range(ncells)]
+    del idx
+    reach = [np.ones_like(cells[0])]
+    for i in range(1, len(parents)):
+        pm = reach[parents[i]]
+        x = symbols[i]
+        nm = np.zeros_like(pm)
+        for st in range(k):
+            nm |= np.where((pm >> st) & 1, cells[st * s + x], 0).astype(np.uint8)
+        reach.append(nm)
+    for arr in cells + reach:
+        arr.setflags(write=False)
+    return cells, reach
 
 
 def filter_tables(num_states, num_symbols, parents, symbols, accepts, cap=200000):
@@ -23,42 +50,22 @@ def filter_tables(num_states, num_symbols, parents, symbols, accepts, cap=200000
     with the root (the empty word) at index 0.
     """
     k, s = num_states, num_symbols
-    ncells = k * s
     full = (1 << k) - 1
-    n_tables = (1 << k) ** ncells
-    idx = np.arange(n_tables, dtype=np.int64)
-    cells = [((idx >> (k * j)) & full).astype(np.uint8) for j in range(ncells)]
-    del idx
-
-    nnodes = len(parents)
-    reach = [None] * nnodes
-    reach[0] = np.full(n_tables, 1, dtype=np.uint8)
+    cells, reach = _tables_and_reach(k, s, tuple(parents), tuple(symbols))
     # The root's reach mask {start} counts against the finals when the
     # empty word is rejected.
-    forbidden = np.full(n_tables, 0 if accepts[0] else 1, dtype=np.uint8)
-    accept_nodes = []
-    if accepts[0]:
-        accept_nodes.append(0)
-    for i in range(1, nnodes):
-        pm = reach[parents[i]]
-        x = symbols[i]
-        nm = np.zeros(n_tables, dtype=np.uint8)
-        for st in range(k):
-            cell = cells[st * s + x]
-            nm |= np.where((pm >> st) & 1, cell, 0).astype(np.uint8)
-        reach[i] = nm
-        if accepts[i]:
-            accept_nodes.append(i)
-        else:
-            forbidden |= nm
-
+    forbidden = np.zeros_like(cells[0])
+    for i, accepted in enumerate(accepts):
+        if not accepted:
+            forbidden |= reach[i]
     finals = (~forbidden) & full
-    viable = np.ones(n_tables, dtype=bool)
-    for i in accept_nodes:
-        viable &= (reach[i] & finals) != 0
+    viable = np.ones(len(forbidden), dtype=bool)
+    for i, accepted in enumerate(accepts):
+        if accepted:
+            viable &= (reach[i] & finals) != 0
     hits = np.nonzero(viable)[0]
     out = []
     for t in hits[:cap]:
-        cell_vals = tuple(int(cells[j][t]) for j in range(ncells))
+        cell_vals = tuple(int(c[t]) for c in cells)
         out.append((cell_vals, int(finals[t])))
     return out

@@ -23,6 +23,7 @@ from sfnfa.bounds import (
     certify,
     nsc_exhaustive,
     paper_fooling_set,
+    search_cover,
     search_fooling_set,
     verify_fooling_set,
 )
@@ -35,6 +36,7 @@ from sfnfa.errors import (
 )
 from sfnfa.witnesses import Family, WitnessSpec, build
 
+from automata_extras import complement_witness, dfa_to_nfa
 from conftest import random_nfa, random_non_returning_nfa
 from fooling_oracle import (
     bounded_word_fooling_set,
@@ -412,6 +414,28 @@ def test_search_between_bounded_word_oracle_and_nsc(seed, returning):
     assert k is None or size <= k
 
 
+# A 5-state binary NFA with a 4-pair fooling set and 6 live DFA states:
+# the cover search finds no 4-state NFA, so k=4 is left to the tables.
+ENUMERATES_K4 = make_nfa(5, "ab", 0, [0, 1, 3], [
+    (0, "a", 0), (0, "a", 2), (0, "a", 4), (1, "a", 3), (2, "a", 0), (2, "a", 1),
+    (2, "b", 1), (3, "a", 0), (3, "b", 1), (4, "a", 2), (4, "b", 3), (4, "b", 4)])
+# A 4-state NFA over three letters with a 3-pair fooling set and 5 live DFA
+# states, whose k=3 is left to the tables.
+ENUMERATES_K3_OF_ABC = make_nfa(4, "abc", 0, [2, 3], [
+    (0, "a", 3), (0, "b", 0), (0, "b", 2), (0, "c", 2), (1, "a", 3), (2, "c", 1),
+    (3, "a", 1), (3, "a", 3), (3, "b", 3), (3, "c", 1), (3, "c", 2)])
+# A 5-state binary NFA whose 3-pair fooling set has a cover whose NFA is not
+# equivalent, and no other; its minimal NFA has the 4 live states of its
+# minimal DFA.
+COVER_FAILS_ITS_CHECK = make_nfa(5, "ab", 0, [1, 3, 4], [
+    (0, "a", 2), (0, "a", 3), (0, "b", 0), (0, "b", 1), (1, "a", 4), (1, "b", 1),
+    (1, "b", 4), (2, "a", 2), (2, "b", 0), (3, "a", 0), (4, "b", 1)])
+# a+ b* as its 3-state minimal DFA without the dead state; its minimal NFA
+# has 2 states, which reach 3 = 2^2 - 1 non-empty state sets.
+A_PLUS_B_STAR = make_nfa(3, "ab", 0, [1, 2], [
+    (0, "a", 1), (1, "a", 1), (1, "b", 2), (2, "b", 2)])
+
+
 class TestNscExhaustive:
     def test_ba_star_needs_two_states(self):
         w = build(WitnessSpec(Family.LEMMA_L1, 2))  # b a*
@@ -428,10 +452,18 @@ class TestNscExhaustive:
         assert nsc_exhaustive(w, 3) == len(paper_fooling_set(FoolingFamily.LEMMA_L1, 3))
 
     def test_ceiling_enforced(self):
-        with pytest.raises(BudgetExceeded):
-            nsc_exhaustive(build(WitnessSpec(Family.LEMMA_L1, 3)), 4)
-        with pytest.raises(BudgetExceeded):
-            nsc_exhaustive(build(WitnessSpec(Family.INTERSECT_PAIR, 2, 2))[0], 3)
+        # The ceiling holds for a size that would be enumerated: here the
+        # bounds leave k=4 (binary) and k=3 (three letters) to the tables.
+        with pytest.raises(BudgetExceeded, match="k=4 exceeds the ceiling 3"):
+            nsc_exhaustive(ENUMERATES_K4, 4)
+        with pytest.raises(BudgetExceeded, match="k=3 exceeds the ceiling 2"):
+            nsc_exhaustive(ENUMERATES_K3_OF_ABC, 3)
+
+    def test_ceiling_spares_sizes_settled_by_bounds(self):
+        # b (aa)* and c (a + b)* stop at their own 3 and 2 states; neither
+        # enumerates a size over the ceiling.
+        assert nsc_exhaustive(build(WitnessSpec(Family.LEMMA_L1, 3)), 4) == 3
+        assert nsc_exhaustive(build(WitnessSpec(Family.INTERSECT_PAIR, 2, 2))[0], 3) == 2
 
     def test_monotone_in_ceiling(self):
         w = build(WitnessSpec(Family.LEMMA_L1, 2))
@@ -454,6 +486,23 @@ def _nsc_outcome(search, a, max_states):
         return BudgetExceeded
 
 
+def _assert_matches_search_without_stop(a, max_states):
+    """``nsc_exhaustive`` against the oracle.  Where the oracle is over its
+    ceiling or budget, the search may still answer from its bounds: the
+    oracle at the largest size it enumerates, n, must then return that
+    answer if it is at most n, and None otherwise."""
+    got = _nsc_outcome(nsc_exhaustive, a, max_states)
+    want = _nsc_outcome(nsc_without_stop, a, max_states)
+    if want is not BudgetExceeded or got is BudgetExceeded:
+        assert got == want
+        return got
+    n = max_states - 1
+    while (small := _nsc_outcome(nsc_without_stop, a, n)) is BudgetExceeded:
+        n -= 1
+    assert small == (got if got is not None and got <= n else None)
+    return got
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from(["ab", "abc"]), st.booleans(),
        st.integers(1, 3))
@@ -463,8 +512,7 @@ def test_nsc_matches_search_without_stop(seed, labels, returning, max_states):
         a = random_nfa(rng, labels=labels, lambda_prob=0.2)
     else:
         a = random_non_returning_nfa(rng, labels=labels)
-    assert (_nsc_outcome(nsc_exhaustive, a, max_states)
-            == _nsc_outcome(nsc_without_stop, a, max_states))
+    _assert_matches_search_without_stop(a, max_states)
 
 
 def _nsc_fixed_cases():
@@ -489,23 +537,22 @@ def _nsc_fixed_cases():
 
 @pytest.mark.parametrize("max_states", [1, 2, 3])
 def test_nsc_fixed_cases_match_search_without_stop(max_states):
-    outcomes = []
-    for a in _nsc_fixed_cases():
-        got = _nsc_outcome(nsc_exhaustive, a, max_states)
-        assert got == _nsc_outcome(nsc_without_stop, a, max_states)
-        outcomes.append(got)
+    outcomes = [_assert_matches_search_without_stop(a, max_states)
+                for a in _nsc_fixed_cases()]
+    # The 12-letter cases stop at their own 2 and 1 states, so no size over
+    # the table budget or the ceiling is enumerated.
     if max_states == 3:
-        assert outcomes == [2, 2, 3, 3, 3, 3, 3, None, None, 1, 1,
-                            BudgetExceeded, BudgetExceeded]
+        assert outcomes == [2, 2, 3, 3, 3, 3, 3, None, None, 1, 1, 2, 1]
     if max_states == 2:
-        assert outcomes[-2:] == [BudgetExceeded, 1]
+        assert outcomes[-2:] == [2, 1]
 
 
 class TestNscStop:
     """The search stops at the size of an NFA it already holds: the trimmed
     input, or the canonical DFA without its dead state.  It skips the sizes
-    up to the length of the shortest accepted word, and the sizes below a
-    verified fooling set."""
+    k with 2^k - 1 below the live states of the minimal DFA, the sizes up to
+    the length of the shortest accepted word, and the sizes below a verified
+    fooling set."""
 
     @staticmethod
     def searched(monkeypatch, a, max_states):
@@ -542,12 +589,49 @@ class TestNscStop:
         assert bounds._shortest_accepted_length(
             bounds.canonical_dfa(lambda_nfa(alphabet("ab")))) == 0
 
+    # b a* + a b* with each loop spread over a cycle of 300 final states:
+    # 601 rows in its automaton matrix, over the cell cap, 3 live DFA
+    # states and shortest words of length 1, so the bounds rule out k=1
+    # only.
+    CYCLES = make_nfa(601, "ab", 0, range(1, 601),
+                      [(0, "b", 1), (0, "a", 301)]
+                      + [(q, "a", q % 300 + 1) for q in range(1, 301)]
+                      + [(q, "b", q % 300 + 301) for q in range(301, 601)])
+
     def test_past_the_cell_cap_there_is_no_floor(self, monkeypatch):
-        # {b, a^600} has 602 rows in its automaton matrix, over the cell
-        # cap, and its shortest word b only skips k=1.
-        a = make_nfa(601, "ab", 0, [1, 600],
-                     [(0, "b", 1)] + [(q, "a", q + 1) for q in range(600)])
-        assert self.searched(monkeypatch, a, 2) == (None, [2])
+        assert self.searched(monkeypatch, self.CYCLES, 2) == (None, [2])
+        assert self.searched(monkeypatch, self.CYCLES, 3) == (3, [2])
+
+    def test_subset_floor_of_the_dense_case(self, monkeypatch):
+        # Every binary word except those of length 7: 9 live states need
+        # 2^k - 1 >= 9, so k >= 4 and no size up to 3 is enumerated.
+        assert self.searched(monkeypatch, _all_but_length(7), 3) == (None, [])
+
+    def test_subset_floor_keeps_a_size_of_exactly_2k_minus_1_live_states(self):
+        d = set_oracle.canonical_dfa(A_PLUS_B_STAR)
+        assert d.state_count - (d.sink is not None) == 3
+        assert nsc_exhaustive(A_PLUS_B_STAR, 3) == nsc_without_stop(A_PLUS_B_STAR, 3) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["ab", "abc"]), st.booleans())
+    def test_no_size_below_the_subset_floor_is_enumerated(self, seed, labels, returning):
+        rng = random.Random(seed)
+        if returning:
+            a = random_nfa(rng, max_states=6, labels=labels, lambda_prob=0.1)
+        else:
+            a = random_non_returning_nfa(rng, max_states=6, labels=labels)
+        d = set_oracle.canonical_dfa(a)
+        live = max(d.state_count - (d.sink is not None), 1)
+        sizes = []
+        real = _kernel.filter_tables
+
+        def recording(k, *args, **kwargs):
+            sizes.append(k)
+            return real(k, *args, **kwargs)
+
+        with mock.patch.object(_kernel, "filter_tables", recording):
+            _nsc_outcome(nsc_exhaustive, a, 3)
+        assert all(k >= 2 and 2**k - 1 >= live for k in sizes), (sizes, live)
 
     def test_stops_at_the_live_states_of_the_minimal_dfa(self, monkeypatch):
         # b a* on three trim states; its minimal DFA has 2 live states.
@@ -555,9 +639,8 @@ class TestNscStop:
         assert self.searched(monkeypatch, a, 3) == (2, [])
 
     def test_no_answer_from_a_truncated_survivor_list(self, monkeypatch):
-        # {ε, b}: the shortest word is ε and the minimal DFA has 2 live
-        # states, so k=1 is searched.
-        a = make_nfa(2, "ab", 0, [0, 1], [(0, "b", 1)])
+        # No bound settles k=2 for the cycles past the cell cap.
+        a = self.CYCLES
         seen = []
 
         def capped(k, s, parents, symbols, labels, cap):
@@ -671,6 +754,66 @@ class TestSurvivorDecision:
     ], ids=["f-max-no-walk", "sample-forbids-only", "stop-at-sink"])
     def test_a_defective_walk_disagrees(self, mutant):
         assert _disagreements(mutant)
+
+
+class TestCoverSearch:
+    """NFAs built from covers of the automaton matrix by prime grids, one
+    grid per cell of a verified fooling set."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_complement_witnesses_have_an_nfa_one_below_their_dfa(self, m):
+        # complement_sf builds 2^(m-1) + 1 states; the fooling floor of
+        # 2^(m-1) is met by a cover, so no table is enumerated.
+        d = complement_witness(m)
+        assert d.state_count == 2 ** (m - 1) + 1
+        a = dfa_to_nfa(d)
+        fs = search_fooling_set(a)
+        nfa = search_cover(a, fs)
+        assert len(fs) == nfa.state_count == 2 ** (m - 1)
+        assert set_oracle.canonical_dfa(nfa) == set_oracle.canonical_dfa(a)
+        with mock.patch.object(_kernel, "filter_tables", side_effect=AssertionError):
+            assert nsc_exhaustive(a, 40) == 2 ** (m - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    def test_cover_nfa_agrees_with_search_without_stop(self, seed, returning):
+        rng = random.Random(seed)
+        if returning:
+            a = random_nfa(rng, max_states=6, lambda_prob=0.1)
+        else:
+            a = random_non_returning_nfa(rng, max_states=6)
+        try:
+            fs = search_fooling_set(a)
+        except SearchBudgetExceeded:
+            return
+        nfa = search_cover(a, fs) if fs else None
+        if nfa is None:
+            return
+        assert nfa.state_count == len(fs)
+        assert set_oracle.canonical_dfa(nfa) == set_oracle.canonical_dfa(a)
+        if len(fs) <= 3:
+            assert nsc_without_stop(a, len(fs)) == len(fs)
+
+    def test_a_cover_that_fails_the_check_is_not_kept(self):
+        a = COVER_FAILS_ITS_CHECK
+        fs = search_fooling_set(a)
+        assert len(fs) == 3
+        assert search_cover(a, fs) is None
+        assert nsc_exhaustive(a, 5) == 4
+        assert nsc_without_stop(a, 3) is None
+
+    def test_fewer_pairs_than_the_minimum_give_no_cover(self):
+        a = dfa_to_nfa(complement_witness(4))
+        assert search_cover(a, search_fooling_set(a, limit=7)) is None
+        assert search_cover(a, FoolingSet(())) is None
+
+    def test_past_the_node_budget_there_is_no_answer(self, monkeypatch):
+        a = dfa_to_nfa(complement_witness(4))
+        fs = search_fooling_set(a)
+        monkeypatch.setattr(bounds, "_COVER_NODES", 8)
+        assert search_cover(a, fs) is None
+        with pytest.raises(BudgetExceeded, match="k=8 exceeds the ceiling 2"):
+            nsc_exhaustive(a, 40)
 
 
 class TestCertify:

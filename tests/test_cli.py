@@ -15,6 +15,7 @@ from sfnfa.serialize import dump, from_json, to_document, to_json
 from sfnfa.witnesses import Family, WitnessSpec, build
 from sfnfa.automata import make_nfa
 
+from automata_extras import complement_witness
 from conftest import random_nfa, random_non_returning_nfa
 
 
@@ -248,6 +249,25 @@ class TestVerifyNsc:
         assert "error: " in result.output
         assert isinstance(result.exception, SystemExit)
 
+    def test_nsc_answers_from_bounds_over_the_ceiling(self, runner, tmp_path):
+        # The m=6 complement witness has a 32-state NFA built from a cover
+        # and a 32-pair fooling set, so no size over the ceiling of 3 is
+        # enumerated.
+        path = tmp_path / "c6.json"
+        dump(complement_witness(6), path)
+        result = runner.invoke(main, ["nsc", str(path), "--max-states", "40"])
+        assert result.exit_code == 0
+        assert result.output.strip() == "32"
+
+    def test_nsc_over_the_ceiling_exit_2(self, runner, tmp_path, monkeypatch):
+        # With no cover search, k=8 of the m=4 witness is left to the tables.
+        path = tmp_path / "c4.json"
+        dump(complement_witness(4), path)
+        monkeypatch.setattr(bounds, "_COVER_NODES", 0)
+        result = runner.invoke(main, ["nsc", str(path), "--max-states", "40"])
+        assert result.exit_code == 2
+        assert "exceeds the ceiling" in result.output
+
     def test_nsc_max_states_zero_is_usage_error(self, runner, tmp_path):
         path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
         result = runner.invoke(main, ["nsc", path, "--max-states", "0"])
@@ -275,6 +295,15 @@ class TestCertifyTable:
         assert result.exit_code == 0
         assert "TIGHT" in result.output
         assert "UPPER-ONLY" in result.output  # complementation rows
+
+    @pytest.mark.parametrize("args", [
+        ["--m", "3..2"], ["--m", "2..3", "--n", "5..4"], ["--m", "2..x"], ["--m", "1..2..3"],
+    ])
+    def test_table_refuses_a_bad_or_empty_range(self, runner, args):
+        result = runner.invoke(main, ["table", *args])
+        assert result.exit_code == 2
+        assert "error: bad range" in result.output
+        assert "operation" not in result.output
 
     def test_table_deterministic(self, runner):
         a = runner.invoke(main, ["table", "--m", "2..4", "--format", "csv"])

@@ -397,7 +397,8 @@ def test_certificate_checks_run_under_optimize():
     would be stripped by ``python -O`` and the class would fail there.  The
     fooling-set verifier must reject the mutated paper sets there too, and
     the survivor walk and the suffix-overlap walk must agree with their
-    oracles there."""
+    oracles there, and the cover search must still drop a cover whose NFA
+    fails its equivalence check."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -406,6 +407,7 @@ def test_certificate_checks_run_under_optimize():
          "tests/test_constructions.py::TestCertificateChecks",
          "tests/test_bounds.py::TestFoolingSetMutations",
          "tests/test_bounds.py::TestSurvivorDecision",
+         "tests/test_bounds.py::TestCoverSearch",
          "tests/test_suffix_free.py::TestWalkAgainstSetOracle"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
