@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 negative verdict (``check`` on a language that is
-not suffix-free), 2 parse error, 3 precondition violation, 4 unexpected
+not suffix-free), 2 parse or usage error (also an output file that
+cannot be written), 3 precondition violation, 4 unexpected
 certification failure (also a failed theorem check inside ``op`` or
 ``check``).  Output files are written atomically.
 """
@@ -43,6 +44,16 @@ def _load(path):
         return serialize.load(path)
     except ParseError as exc:
         click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+
+
+def _write(path, text):
+    """Write an output file atomically; a path that cannot be written
+    (empty, a directory, a missing parent) is a usage error, exit 2."""
+    try:
+        serialize.write_text_atomic(path, text)
+    except OSError as exc:
+        click.echo(f"error: cannot write {path!r}: {exc.strerror or exc}", err=True)
         sys.exit(2)
 
 
@@ -133,9 +144,9 @@ def op(name, inputs, output, dot_path, strict):
         _fail_precondition(exc, automata[0].alphabet)
     except CertificateError as exc:
         _fail_certificate(exc)
-    serialize.dump(result, output)
+    _write(output, serialize.to_json(result) + "\n")
     if dot_path:
-        serialize.write_text_atomic(dot_path, serialize.to_dot(result))
+        _write(dot_path, serialize.to_dot(result))
 
 
 @main.command()
@@ -161,7 +172,7 @@ def witness(family, m, n, output):
     docs = [serialize.to_document(Nfa(*args)) for args in shapes]
     text = json.dumps(docs if spec.family.is_pair else docs[0])
     if output:
-        serialize.write_text_atomic(output, text + "\n")
+        _write(output, text + "\n")
     else:
         click.echo(text)
 

@@ -125,6 +125,24 @@ class TestOp:
             assert isinstance(result.exception, SystemExit)
             assert not out.exists()
 
+    # An empty --dot asks for no DOT file, so only -o is tried with "".
+    @pytest.mark.parametrize("flag, target", [
+        ("-o", ""), ("-o", "{tmp}"), ("-o", "{tmp}/missing/out.json"),
+        ("--dot", "{tmp}"), ("--dot", "{tmp}/missing/out.dot"),
+    ])
+    def test_unwritable_output_exit_2(self, runner, tmp_path, flag, target):
+        path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
+        args = ["op", "reverse", path, "-o", str(tmp_path / "out.json")]
+        result = runner.invoke(main, [*args, flag, target.format(tmp=tmp_path)])
+        assert result.exit_code == 2
+        assert "error: cannot write" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_witness_unwritable_output_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["witness", "lemma-l1", "--m", "3", "-o", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "error: cannot write" in result.output
+
     @pytest.mark.parametrize("name", ["reverse", "star"])
     def test_strict_rejects_non_suffix_free(self, runner, tmp_path, name):
         # a(ba)*: returning and not suffix-free.
