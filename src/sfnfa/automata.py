@@ -1,15 +1,20 @@
 """Core automata representations and algorithms.
 
 States are dense integer indices ``0 .. state_count-1``; a set of states is
-an int bitmask with bit q for state q.  An ``Nfa`` is a frozen set of
-``(src, symbol, dst)`` triples (``symbol`` an alphabet index, or ``None`` for
-a lambda edge), indexed as successor masks.  All values are immutable, so
-automata can be shared freely between workers.
+an int bitmask with bit q for state q.  An ``Nfa`` is its successor masks:
+one mask per state and symbol, one per state for lambda edges, and one for
+the finals.  ``Nfa.from_edges`` is the one place where a list of
+``(src, symbol, dst)`` edges becomes masks; every algorithm here reads and
+builds masks directly.  All values are immutable, so automata can be shared
+freely between workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 Word = tuple[int, ...]
 LAMBDA = None
@@ -55,17 +60,19 @@ def alphabet(labels: str) -> Alphabet:
 @dataclass(frozen=True)
 class Nfa:
     """A nondeterministic finite automaton, possibly with lambda edges.
-    Derived, not compared: ``succ[q][x]`` and ``lam[q]`` are the successor
-    masks of state q on symbol x and on lambda, ``final_mask`` the finals."""
+
+    ``succ[q][x]`` is the mask of the states that q reaches on symbol x,
+    ``lam[q]`` the mask of those it reaches on a lambda edge, and
+    ``final_mask`` the mask of the final states.  ``from_edges`` builds one
+    from a list of edges; ``finals`` and ``transitions`` are read back from
+    the masks."""
 
     state_count: int
     alphabet: Alphabet
     start: int
-    finals: frozenset[int]
-    transitions: frozenset[tuple[int, int | None, int]]
-    succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    lam: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    final_mask: int = field(init=False, repr=False, compare=False)
+    final_mask: int
+    succ: tuple[tuple[int, ...], ...]
+    lam: tuple[int, ...]
 
     def __post_init__(self):
         n, k = self.state_count, self.alphabet.size
@@ -73,14 +80,30 @@ class Nfa:
             raise ValueError("state_count must be positive")
         if not 0 <= self.start < n:
             raise ValueError("start state out of range")
+        if len(self.succ) != n or len(self.lam) != n or set(map(len, self.succ)) != {k}:
+            raise ValueError("successor masks must be a row of one mask per symbol for each state")
+        # The union of all masks is negative if one is, and 2^n or more if one is.
+        if not 0 <= reduce(or_, chain(self.lam, *self.succ), self.final_mask) < 1 << n:
+            raise ValueError("mask out of range")
+
+    @classmethod
+    def from_edges(cls, states: int, alphabet: Alphabet, start: int, finals, edges) -> Nfa:
+        """The automaton with the given finals and ``(src, symbol, dst)``
+        edges, ``symbol`` an alphabet index or None for a lambda edge.  A
+        repeated edge counts once."""
+        n, k = states, alphabet.size
+        if n <= 0:
+            raise ValueError("state_count must be positive")
+        if not 0 <= start < n:
+            raise ValueError("start state out of range")
         final_mask = 0
-        for q in self.finals:
+        for q in finals:
             if not 0 <= q < n:
                 raise ValueError("final state out of range")
             final_mask |= 1 << q
         succ = [[0] * k for _ in range(n)]
         lam = [0] * n
-        for src, sym, dst in self.transitions:
+        for src, sym, dst in edges:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError("transition endpoint out of range")
             if sym is None:
@@ -89,9 +112,18 @@ class Nfa:
                 succ[src][sym] |= 1 << dst
             else:
                 raise ValueError("transition symbol out of range")
-        object.__setattr__(self, "succ", tuple(map(tuple, succ)))
-        object.__setattr__(self, "lam", tuple(lam))
-        object.__setattr__(self, "final_mask", final_mask)
+        return cls(n, alphabet, start, final_mask, tuple(map(tuple, succ)), tuple(lam))
+
+    @property
+    def finals(self) -> frozenset[int]:
+        return frozenset(bits(self.final_mask))
+
+    @property
+    def transitions(self) -> frozenset[tuple[int, int | None, int]]:
+        """Every edge as ``(src, symbol, dst)``, None for lambda."""
+        return frozenset((src, x, dst) for src, row in enumerate(self.succ)
+                         for x, mask in (*enumerate(row), (None, self.lam[src]))
+                         for dst in bits(mask))
 
     @property
     def has_lambda(self) -> bool:
@@ -104,6 +136,16 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def gather(masks, mask: int) -> int:
+    """The union of ``masks[q]`` over the states q of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def step(rows, mask: int, x: int) -> int:
@@ -119,20 +161,18 @@ def step(rows, mask: int, x: int) -> int:
 def make_nfa(states, labels, start, finals, edges) -> Nfa:
     """Build an Nfa from label-string edges ``(src, "a"|None, dst)``."""
     alpha = Alphabet(tuple(labels))
-    trans = frozenset(
-        (src, None if sym is None else alpha.index(sym), dst) for src, sym, dst in edges
-    )
-    return Nfa(states, alpha, start, frozenset(finals), trans)
+    edges = [(src, None if sym is None else alpha.index(sym), dst) for src, sym, dst in edges]
+    return Nfa.from_edges(states, alpha, start, finals, edges)
 
 
 def empty_nfa(alpha: Alphabet) -> Nfa:
     """The canonical automaton for the empty language."""
-    return Nfa(1, alpha, 0, frozenset(), frozenset())
+    return Nfa(1, alpha, 0, 0, ((0,) * alpha.size,), (0,))
 
 
 def lambda_nfa(alpha: Alphabet) -> Nfa:
     """The one-state automaton for {lambda}."""
-    return Nfa(1, alpha, 0, frozenset({0}), frozenset())
+    return Nfa(1, alpha, 0, 1, ((0,) * alpha.size,), (0,))
 
 
 def _reach(adj, mask: int) -> int:
@@ -156,15 +196,15 @@ def remove_lambda(a: Nfa) -> Nfa:
     """
     if not a.has_lambda:
         return a
-    trans = set()
-    finals = set()
+    symbols = range(a.alphabet.size)
+    final_mask = 0
+    succ = []
     for p in range(a.state_count):
         closure = _reach(a.lam, 1 << p)
         if closure & a.final_mask:
-            finals.add(p)
-        for x in range(a.alphabet.size):
-            trans.update((p, x, r) for r in bits(step(a.succ, closure, x)))
-    return Nfa(a.state_count, a.alphabet, a.start, frozenset(finals), frozenset(trans))
+            final_mask |= 1 << p
+        succ.append(tuple(step(a.succ, closure, x) for x in symbols))
+    return Nfa(a.state_count, a.alphabet, a.start, final_mask, tuple(succ), (0,) * a.state_count)
 
 
 def trim(a: Nfa) -> Nfa:
@@ -176,32 +216,33 @@ def trim(a: Nfa) -> Nfa:
     return trim_with_indices(a)[0]
 
 
-def _adjacency(a: Nfa) -> tuple[list[int], list[int]]:
-    """Each state's successor and predecessor masks, over every label."""
-    fwd = [0] * a.state_count
-    bwd = [0] * a.state_count
-    for src, _sym, dst in a.transitions:
-        fwd[src] |= 1 << dst
-        bwd[dst] |= 1 << src
-    return fwd, bwd
-
-
 def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
     """``trim`` and the original index of each surviving state, which is
     empty when the language is empty.  An automaton whose states are all
     useful is returned as it is."""
-    fwd, bwd = _adjacency(a)
+    n = a.state_count
+    fwd = [reduce(or_, row, lam) for row, lam in zip(a.succ, a.lam)]
+    bwd = [0] * n
+    for q, out in enumerate(fwd):
+        bit = 1 << q
+        while out:
+            low = out & -out
+            bwd[low.bit_length() - 1] |= bit
+            out ^= low
     useful_mask = _reach(fwd, 1 << a.start) & _reach(bwd, a.final_mask)
-    if useful_mask == (1 << a.state_count) - 1:
-        return a, tuple(range(a.state_count))
-    useful = list(bits(useful_mask))
-    if a.start not in useful:
+    if useful_mask == (1 << n) - 1:
+        return a, tuple(range(n))
+    if not useful_mask >> a.start & 1:
         return empty_nfa(a.alphabet), ()
-    remap = {old: new for new, old in enumerate(useful)}
-    trans = frozenset((remap[s], x, remap[d]) for s, x, d in a.transitions
-                      if s in remap and d in remap)
-    finals = frozenset(remap[q] for q in a.finals if q in remap)
-    return Nfa(len(useful), a.alphabet, remap[a.start], finals, trans), tuple(useful)
+    useful = tuple(bits(useful_mask))
+    # new_bit[q]: the bit of state q in the trimmed numbering, 0 if q goes.
+    new_bit = [0] * n
+    for new, old in enumerate(useful):
+        new_bit[old] = 1 << new
+    succ = tuple(tuple(gather(new_bit, mask) for mask in a.succ[q]) for q in useful)
+    lam = tuple(gather(new_bit, a.lam[q]) for q in useful)
+    start = useful.index(a.start)
+    return Nfa(len(useful), a.alphabet, start, gather(new_bit, a.final_mask), succ, lam), useful
 
 
 def accepts(a: Nfa, w: Word) -> bool:
@@ -222,8 +263,14 @@ def pred_rows(a: Nfa) -> list[list[int]]:
     lambda-free automaton, so that ``step(pred, mask, x)`` steps a set of
     states backwards over x."""
     pred = [[0] * a.alphabet.size for _ in range(a.state_count)]
-    for p, x, q in a.transitions:
-        pred[q][x] |= 1 << p
+    for x, column in enumerate(zip(*a.succ)):
+        bit = 1  # the bit of the source state
+        for mask in column:
+            while mask:
+                low = mask & -mask
+                pred[low.bit_length() - 1][x] |= bit
+                mask ^= low
+            bit <<= 1
     return pred
 
 
@@ -299,18 +346,6 @@ def _subset_walk(rows, start: int) -> tuple[list[list[int]], list[int]]:
             row.append(i)
         table.append(row)
     return table, order
-
-
-def determinize_with_subsets(a: Nfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
-    """Subset construction; also returns the reachable subsets in discovery
-    order (the empty subset, if present, appears as the sink)."""
-    if a.has_lambda:
-        raise ValueError("determinize requires a lambda-free NFA")
-    table, order = _subset_walk(a.succ, 1 << a.start)
-    finals = frozenset(i for i, sub in enumerate(order) if sub & a.final_mask)
-    sink = next((i for i, sub in enumerate(order) if not sub), None)
-    dfa = Dfa(len(order), a.alphabet, 0, finals, tuple(map(tuple, table)), sink=sink)
-    return dfa, tuple(frozenset(bits(sub)) for sub in order)
 
 
 def _minimal(alpha: Alphabet, table, final: list[bool], start: int) -> Dfa:
@@ -427,16 +462,24 @@ def product_intersection_with_pairs(a: Nfa, b: Nfa) -> tuple[Nfa, tuple[tuple[in
         raise ValueError("product requires lambda-free inputs")
     index = {(a.start, b.start): 0}
     order = [(a.start, b.start)]
-    trans = set()
-    for src, (p, q) in enumerate(order):  # grows as pairs are discovered: a BFS queue
-        for x in range(a.alphabet.size):
-            for p2 in bits(a.succ[p][x]):
-                for q2 in bits(b.succ[q][x]):
-                    pair = (p2, q2)
-                    if pair not in index:
-                        index[pair] = len(order)
-                        order.append(pair)
-                    trans.add((src, x, index[pair]))
-    finals = frozenset(i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals)
-    nfa = Nfa(len(order), a.alphabet, 0, finals, frozenset(trans))
+    succ = []
+    final_mask = 0
+    for i, (p, q) in enumerate(order):  # grows as pairs are discovered: a BFS queue
+        if a.final_mask >> p & b.final_mask >> q & 1:
+            final_mask |= 1 << i
+        row = []
+        for p_next, q_next in zip(a.succ[p], b.succ[q]):
+            out = 0
+            if p_next and q_next:
+                q_list = list(bits(q_next))
+                for p2 in bits(p_next):
+                    for q2 in q_list:
+                        j = index.get((p2, q2))
+                        if j is None:
+                            j = index[p2, q2] = len(order)
+                            order.append((p2, q2))
+                        out |= 1 << j
+            row.append(out)
+        succ.append(tuple(row))
+    nfa = Nfa(len(order), a.alphabet, 0, final_mask, tuple(succ), (0,) * len(order))
     return nfa, tuple(order)

@@ -395,21 +395,19 @@ def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
     chosen: list[tuple[int, int, int]] = []
 
     def build() -> Nfa:
-        trans = set()
-        for p, (_, from_rows, _) in enumerate(chosen):
+        succ = []
+        for _, from_rows, _ in chosen:
+            row = []
             for x in range(sigma):
-                need = 0
-                for r in bits(from_rows):
-                    if (nxt := next_row[r][x]) < 0:
-                        break
-                    need |= 1 << nxt
-                else:
-                    trans.update((p, x, q) for q, (_, to_rows, _) in enumerate(chosen)
-                                 if not need & ~to_rows)
+                nxt = {next_row[r][x] for r in bits(from_rows)}
+                need = 0 if -1 in nxt else sum(1 << r for r in nxt)
+                row.append(sum(1 << q for q, (_, to_rows, _) in enumerate(chosen)
+                               if need and not need & ~to_rows))
+            succ.append(tuple(row))
         # Row 0 is the empty word's and column 0 its column.
         start, = (p for p, (_, in_rows, _) in enumerate(chosen) if in_rows & 1)
-        finals = frozenset(p for p, (_, _, c) in enumerate(chosen) if c & 1)
-        return Nfa(len(chosen), t.alphabet, start, finals, frozenset(trans))
+        final_mask = sum(1 << p for p, (_, _, c) in enumerate(chosen) if c & 1)
+        return Nfa(len(chosen), t.alphabet, start, final_mask, tuple(succ), (0,) * len(chosen))
 
     def cover(d: int, covered: int, has_start: int) -> Nfa | None:
         if spent() or covered | reach[d] != full:

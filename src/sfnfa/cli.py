@@ -169,7 +169,7 @@ def witness(family, m, n, output):
     except (ParameterOutOfRange, ParseError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    docs = [serialize.to_document(Nfa(*args)) for args in shapes]
+    docs = [serialize.to_document(Nfa.from_edges(*args)) for args in shapes]
     text = json.dumps(docs if spec.family.is_pair else docs[0])
     if output:
         _write(output, text + "\n")

@@ -4,17 +4,22 @@ Every construction here relies structurally only on the non-returning
 property (no in-transitions on the start state), which is what suffix-free
 inputs guarantee.  Pass ``strict=True`` to additionally verify full
 suffix-freeness of the inputs; the default checks only the cheap
-structural precondition.
+structural precondition.  Each construction builds the successor masks of
+its result from those of its inputs.
 """
 
 from __future__ import annotations
 
+from operator import or_
+
 from .automata import (
     Dfa,
     Nfa,
+    _subset_walk,
     bits,
-    determinize_with_subsets,
     product_intersection_with_pairs,
+    pred_rows,
+    step,
     trim_with_indices,
 )
 from .errors import (
@@ -26,31 +31,27 @@ from .errors import (
 from .suffixfree import is_suffix_free, start_in_transition
 
 
-def _require_non_returning(a: Nfa, role: str) -> None:
-    transition = start_in_transition(a)
-    if transition is not None:
-        raise NonReturningViolation(
-            f"{role} automaton has an in-transition to its start state",
-            transition=transition,
-        )
-
-
-def _require_lambda_free(a: Nfa, role: str) -> None:
-    if a.has_lambda:
-        raise PreconditionViolation(f"{role} automaton must be lambda-free")
-
-
-def _require_same_alphabet(a: Nfa, b: Nfa) -> None:
-    if a.alphabet.labels != b.alphabet.labels:
+def _require(strict: bool, *operands: tuple[str, Nfa, bool]) -> None:
+    """Check the ``(role, automaton, must be non-returning)`` operands of a
+    construction in this order: each is lambda-free, they share one
+    alphabet, each that must be is non-returning, and with ``strict`` each
+    is suffix-free."""
+    for role, a, _ in operands:
+        if a.has_lambda:
+            raise PreconditionViolation(f"{role} automaton must be lambda-free")
+    if len({a.alphabet.labels for _, a, _ in operands}) > 1:
         raise PreconditionViolation("both automata must share one alphabet")
-
-
-def _require_suffix_free(a: Nfa, role: str) -> None:
-    verdict = is_suffix_free(a)
-    if not verdict.suffix_free:
-        raise SuffixFreeViolation(
-            f"{role} language is not suffix-free", witness=verdict.witness
-        )
+    for role, a, non_returning in operands:
+        transition = start_in_transition(a) if non_returning else None
+        if transition is not None:
+            raise NonReturningViolation(
+                f"{role} automaton has an in-transition to its start state",
+                transition=transition)
+    for role, a, _ in operands if strict else ():
+        verdict = is_suffix_free(a)
+        if not verdict.suffix_free:
+            raise SuffixFreeViolation(f"{role} language is not suffix-free",
+                                      witness=verdict.witness)
 
 
 def union_sf(a: Nfa, b: Nfa, strict: bool = False) -> Nfa:
@@ -60,44 +61,27 @@ def union_sf(a: Nfa, b: Nfa, strict: bool = False) -> Nfa:
     starts; it is final iff either original start was final (only possible
     when lambda belongs to one input language).
     """
-    _require_lambda_free(a, "left")
-    _require_lambda_free(b, "right")
-    _require_same_alphabet(a, b)
-    _require_non_returning(a, "left")
-    _require_non_returning(b, "right")
-    if strict:
-        _require_suffix_free(a, "left")
-        _require_suffix_free(b, "right")
-
-    a_map = _skip_start_map(a, offset=1)
-    b_map = _skip_start_map(b, offset=a.state_count)
-    trans = set()
-    for src, sym, dst in a.transitions:
-        trans.add((0 if src == a.start else a_map[src], sym, a_map[dst]))
-    for src, sym, dst in b.transitions:
-        trans.add((0 if src == b.start else b_map[src], sym, b_map[dst]))
-    finals = {a_map[q] for q in a.finals if q != a.start}
-    finals |= {b_map[q] for q in b.finals if q != b.start}
-    if a.start in a.finals or b.start in b.finals:
-        finals.add(0)
-    return Nfa(
-        a.state_count + b.state_count - 1,
-        a.alphabet,
-        0,
-        frozenset(finals),
-        frozenset(trans),
-    )
+    _require(strict, ("left", a, True), ("right", b, True))
+    sa, sb, ma = a.start, b.start, a.state_count
+    # a's other states become 1 .. ma-1 and b's ma .. ma+nb-2.
+    a_rows, a_finals = _drop_start(a, 1)
+    b_rows, b_finals = _drop_start(b, ma)
+    merged = tuple(map(or_, a_rows[sa], b_rows[sb]))
+    succ = (merged, *a_rows[:sa], *a_rows[sa + 1:], *b_rows[:sb], *b_rows[sb + 1:])
+    final_mask = a_finals | b_finals | (a.final_mask >> sa & 1) | (b.final_mask >> sb & 1)
+    n = ma + b.state_count - 1
+    return Nfa(n, a.alphabet, 0, final_mask, succ, (0,) * n)
 
 
-def _skip_start_map(a: Nfa, offset: int) -> dict[int, int]:
-    """Renumber non-start states densely starting at ``offset``."""
-    out = {}
-    nxt = offset
-    for q in range(a.state_count):
-        if q != a.start:
-            out[q] = nxt
-            nxt += 1
-    return out
+def _drop_start(x: Nfa, shift: int) -> tuple[list[tuple[int, ...]], int]:
+    """x's successor rows, one per state, and its final mask without the
+    start's bit, the other states numbered densely from ``shift`` in order."""
+    s, low = x.start, (1 << x.start) - 1
+
+    def move(mask: int) -> int:  # the bits above s move down by one
+        return ((mask & low) | (mask >> (s + 1) << s)) << shift
+
+    return [tuple(map(move, row)) for row in x.succ], move(x.final_mask)
 
 
 def concat_sf(a: Nfa, b: Nfa, strict: bool = False) -> Nfa:
@@ -108,47 +92,23 @@ def concat_sf(a: Nfa, b: Nfa, strict: bool = False) -> Nfa:
     stay final too (the witness languages never hit this corner, but total
     correctness requires it).
     """
-    _require_lambda_free(a, "left")
-    _require_lambda_free(b, "right")
-    _require_same_alphabet(a, b)
-    _require_non_returning(b, "right")
-    if strict:
-        _require_suffix_free(a, "left")
-        _require_suffix_free(b, "right")
-
-    b_map = _skip_start_map(b, offset=a.state_count)
-    trans = set(a.transitions)
-    for src, sym, dst in b.transitions:
-        if src != b.start:
-            trans.add((b_map[src], sym, b_map[dst]))
-    for x in range(b.alphabet.size):
-        for dst in bits(b.succ[b.start][x]):
-            for f in a.finals:
-                trans.add((f, x, b_map[dst]))
-    finals = {b_map[q] for q in b.finals if q != b.start}
-    if b.start in b.finals:
-        finals |= set(a.finals)
-    return Nfa(
-        a.state_count + b.state_count - 1,
-        a.alphabet,
-        a.start,
-        frozenset(finals),
-        frozenset(trans),
-    )
+    _require(strict, ("left", a, False), ("right", b, True))
+    sb, ma = b.start, a.state_count
+    b_rows, final_mask = _drop_start(b, ma)
+    bridge = b_rows[sb]
+    succ = (*[tuple(map(or_, row, bridge)) if a.final_mask >> q & 1 else row
+              for q, row in enumerate(a.succ)],
+            *b_rows[:sb], *b_rows[sb + 1:])
+    if b.final_mask >> sb & 1:
+        final_mask |= a.final_mask
+    n = ma + b.state_count - 1
+    return Nfa(n, a.alphabet, a.start, final_mask, succ, (0,) * n)
 
 
 def intersect_sf_with_pairs(a: Nfa, b: Nfa, strict: bool = False):
     """Intersection via the trimmed reachable product; also returns the
     (p, q) origin pair of every surviving state."""
-    _require_lambda_free(a, "left")
-    _require_lambda_free(b, "right")
-    _require_same_alphabet(a, b)
-    _require_non_returning(a, "left")
-    _require_non_returning(b, "right")
-    if strict:
-        _require_suffix_free(a, "left")
-        _require_suffix_free(b, "right")
-
+    _require(strict, ("left", a, True), ("right", b, True))
     product, pairs = product_intersection_with_pairs(a, b)
     # Reachability alone already excludes the mixed-start pairs (s1, q) and
     # (p, s2); check the theorem rather than pruning them specially.
@@ -172,31 +132,25 @@ def intersect_sf(a: Nfa, b: Nfa, strict: bool = False) -> Nfa:
 def star_sf(a: Nfa, strict: bool = False) -> Nfa:
     """Kleene star on the same m states: finals replicate the start's
     out-transitions and the start becomes final."""
-    _require_lambda_free(a, "input")
-    _require_non_returning(a, "input")
-    if strict:
-        _require_suffix_free(a, "input")
-    trans = set(a.transitions)
-    for x in range(a.alphabet.size):
-        for dst in bits(a.succ[a.start][x]):
-            for f in a.finals:
-                trans.add((f, x, dst))
-    finals = frozenset(a.finals | {a.start})
-    return Nfa(a.state_count, a.alphabet, a.start, finals, frozenset(trans))
+    _require(strict, ("input", a, True))
+    first = a.succ[a.start]
+    succ = tuple(tuple(map(or_, row, first)) if a.final_mask >> q & 1 else row
+                 for q, row in enumerate(a.succ))
+    return Nfa(a.state_count, a.alphabet, a.start, a.final_mask | 1 << a.start, succ, a.lam)
 
 
 def reverse_nfa(a: Nfa, strict: bool = False) -> Nfa:
     """Reversal on m+1 states: flip every transition and make the old start
     final; a fresh start takes the flipped out-transitions of the old finals,
     and is final when the old start was."""
-    _require_lambda_free(a, "input")
-    if strict:
-        _require_suffix_free(a, "input")
-    new_start = a.state_count
-    trans = {(dst, sym, src) for src, sym, dst in a.transitions}
-    trans |= {(new_start, sym, src) for src, sym, dst in a.transitions if dst in a.finals}
-    finals = {a.start, new_start} if a.start in a.finals else {a.start}
-    return Nfa(a.state_count + 1, a.alphabet, new_start, frozenset(finals), frozenset(trans))
+    _require(strict, ("input", a, False))
+    n = a.state_count
+    pred = pred_rows(a)
+    succ = (*map(tuple, pred), tuple(step(pred, a.final_mask, x) for x in range(a.alphabet.size)))
+    final_mask = 1 << a.start
+    if a.final_mask >> a.start & 1:
+        final_mask |= 1 << n
+    return Nfa(n + 1, a.alphabet, n, final_mask, succ, (0,) * (n + 1))
 
 
 def complement_sf(a: Nfa, strict: bool = False) -> Dfa:
@@ -206,18 +160,17 @@ def complement_sf(a: Nfa, strict: bool = False) -> Dfa:
     avoiding the start, and the empty sink; swapping finals afterwards
     yields the complement.
     """
-    _require_lambda_free(a, "input")
-    _require_non_returning(a, "input")
-    if strict:
-        _require_suffix_free(a, "input")
-    dfa, subsets = determinize_with_subsets(a)
-    for sub in subsets:
-        if a.start in sub and len(sub) > 1:
+    _require(strict, ("input", a, True))
+    start = 1 << a.start
+    table, order = _subset_walk(a.succ, start)
+    for sub in order:
+        if sub & start and sub != start:
             raise CertificateError(
-                f"subset {sorted(sub)} holds the start of a non-returning automaton "
+                f"subset {list(bits(sub))} holds the start of a non-returning automaton "
                 "and another state")
     bound = 2 ** (a.state_count - 1) + 1
-    if dfa.state_count > bound:
-        raise CertificateError(f"complement has {dfa.state_count} states, above its bound {bound}")
-    finals = frozenset(q for q in range(dfa.state_count) if q not in dfa.finals)
-    return Dfa(dfa.state_count, dfa.alphabet, dfa.start, finals, dfa.table, sink=dfa.sink)
+    if len(order) > bound:
+        raise CertificateError(f"complement has {len(order)} states, above its bound {bound}")
+    finals = frozenset(i for i, sub in enumerate(order) if not sub & a.final_mask)
+    sink = order.index(0) if 0 in order else None
+    return Dfa(len(order), a.alphabet, 0, finals, tuple(map(tuple, table)), sink=sink)

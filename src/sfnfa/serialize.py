@@ -118,7 +118,7 @@ def from_document(doc) -> Nfa:
         trans.add((src, sym, dst))
     check_limits(states, alpha.size, trans)
     try:
-        return Nfa(states, alpha, start, frozenset(finals), frozenset(trans))
+        return Nfa.from_edges(states, alpha, start, finals, trans)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed automaton: {exc}") from exc
 
@@ -163,8 +163,9 @@ def to_dot(a: Nfa | Dfa, name: str = "automaton") -> str:
     ``to_document``; ``"`` and ``\\`` in a label are escaped."""
     _refuse_lambda_label(a)
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
+    finals = a.finals
     for q in range(a.state_count):
-        shape = "doublecircle" if q in a.finals else "circle"
+        shape = "doublecircle" if q in finals else "circle"
         lines.append(f"  q{q} [shape={shape}, label=\"{q}\"];")
     lines.append(f"  __start -> q{a.start};")
     for src, sym, dst in _transitions(a):

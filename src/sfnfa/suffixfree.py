@@ -12,6 +12,9 @@ which the walk simulates from the same successor masks without building it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 from .automata import Nfa, Word, accepts, step
 from .errors import CertificateError, PreconditionViolation
@@ -28,8 +31,15 @@ class SuffixFreeness:
 
 
 def start_in_transition(a: Nfa) -> tuple[int, int | None, int] | None:
-    """A transition into the start state, or None if there is none."""
-    return next((t for t in a.transitions if t[2] == a.start), None)
+    """The least transition ``(src, symbol, dst)`` into the start state, a
+    lambda edge after the symbols of its source, or None if there is none."""
+    bit = 1 << a.start
+    if reduce(or_, chain(a.lam, *a.succ), 0) & bit:  # some edge enters the start
+        for src, (row, lam) in enumerate(zip(a.succ, a.lam)):
+            for x, mask in (*enumerate(row), (None, lam)):
+                if mask & bit:
+                    return src, x, a.start
+    return None
 
 
 def is_non_returning(a: Nfa) -> bool:

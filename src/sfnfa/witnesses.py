@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, alphabet
+from .automata import Alphabet, Nfa, alphabet, bits
 from .errors import ParameterOutOfRange
 
 
@@ -126,39 +126,29 @@ def _reversal_witness(m: int) -> tuple:
     return m, alpha, 0, frozenset({1, p_b, p_c}), frozenset(trans)
 
 
-def _default_complement_core(m: int) -> tuple:
-    # m-1 states over {a,b}: a-count = 0 mod m-1, b free.  A stand-in for
-    # the external hard-to-complement binary family; it lets the pipeline
-    # run end to end but claims nothing about the 2^(m-1)-1 lower bound.
-    alpha = alphabet("ab")
-    cycle = m - 1
-    trans = set()
-    for i in range(cycle):
-        trans.add((i, 0, (i + 1) % cycle))
-        trans.add((i, 1, i))
-    return cycle, alpha, 0, frozenset({0}), frozenset(trans)
-
-
 def _complement_prefixed(m: int, inner: Nfa | None) -> tuple:
+    """c·K: a c edge from a fresh start 0 into the start of the binary core
+    K, whose states move up by one."""
     if inner is None:
-        core = _default_complement_core(m)
+        # m-1 states over {a,b}: a-count = 0 mod m-1, b free.  A stand-in for
+        # the external hard-to-complement binary family; it lets the pipeline
+        # run end to end but claims nothing about the 2^(m-1)-1 lower bound.
+        states, start, finals = m - 1, 0, [0]
+        edges = [(i, x, (i + 1) % states if x == 0 else i) for i in range(states) for x in (0, 1)]
     else:
         if inner.alphabet.labels != ("a", "b"):
             raise ParameterOutOfRange("complement-prefixed core must be over {a, b}")
         if inner.has_lambda:
             raise ParameterOutOfRange("complement-prefixed core must be lambda-free")
-        core = (inner.state_count, inner.alphabet, inner.start, inner.finals,
-                inner.transitions)
-    states, _, start, finals, transitions = core
-    offset = 1
-    trans = {(src + offset, sym, dst + offset) for src, sym, dst in transitions}
-    trans.add((0, 2, start + offset))  # the prefixing c edge
-    return (states + 1, alphabet("abc"), 0, frozenset(q + offset for q in finals),
-            frozenset(trans))
+        states, start, finals = inner.state_count, inner.start, bits(inner.final_mask)
+        edges = [(src, x, dst) for src, row in enumerate(inner.succ)
+                 for x, mask in enumerate(row) for dst in bits(mask)]
+    trans = [(0, 2, start + 1), *[(src + 1, x, dst + 1) for src, x, dst in edges]]
+    return states + 1, alphabet("abc"), 0, [q + 1 for q in finals], trans
 
 
 def layout(spec: WitnessSpec) -> tuple[tuple, ...]:
-    """The ``Nfa`` arguments (states, alphabet, start, finals, transitions)
+    """The ``Nfa.from_edges`` arguments (states, alphabet, start, finals, edges)
     of each automaton of a witness family, one per operand, so that a
     caller can check their size before any successor mask is allocated."""
     f, m, n = spec.family, spec.m, spec.n
@@ -184,5 +174,5 @@ def layout(spec: WitnessSpec) -> tuple[tuple, ...]:
 
 def build(spec: WitnessSpec):
     """Instantiate a witness family; pair families return a 2-tuple."""
-    made = tuple(Nfa(*args) for args in layout(spec))
+    made = tuple(Nfa.from_edges(*args) for args in layout(spec))
     return made if spec.family.is_pair else made[0]

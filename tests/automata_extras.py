@@ -9,13 +9,13 @@ from sfnfa.automata import (
     Dfa,
     Nfa,
     Word,
+    _subset_walk,
     bits,
-    determinize_with_subsets,
     make_nfa,
     product_intersection_with_pairs,
     step,
 )
-from sfnfa.constructions import _require_lambda_free, complement_sf
+from sfnfa.constructions import _require, complement_sf
 from sfnfa.witnesses import Family, WitnessSpec, build
 
 
@@ -30,7 +30,7 @@ def dfa_to_nfa(d: Dfa) -> Nfa:
     trans = frozenset(
         (q, x, d.table[q][x]) for q in range(d.state_count) for x in range(d.alphabet.size)
     )
-    return Nfa(d.state_count, d.alphabet, d.start, d.finals, trans)
+    return Nfa.from_edges(d.state_count, d.alphabet, d.start, d.finals, trans)
 
 
 def dfa_complement(d: Dfa) -> Dfa:
@@ -39,7 +39,12 @@ def dfa_complement(d: Dfa) -> Dfa:
 
 
 def determinize(a: Nfa) -> Dfa:
-    return determinize_with_subsets(a)[0]
+    """The subset construction of a lambda-free NFA; the empty set, when
+    reached, is the sink."""
+    table, order = _subset_walk(a.succ, 1 << a.start)
+    finals = frozenset(i for i, sub in enumerate(order) if sub & a.final_mask)
+    sink = order.index(0) if 0 in order else None
+    return Dfa(len(order), a.alphabet, 0, finals, tuple(map(tuple, table)), sink=sink)
 
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:
@@ -50,7 +55,7 @@ def left_quotient_symbol(a: Nfa, c: int, drop_symbol: bool = False) -> Nfa:
     """Quotient {w : c.w in L(a)} via a fresh start that simulates reading
     c first.  ``drop_symbol`` deletes all remaining c-transitions, which
     restricts the result to the sub-alphabet without c."""
-    _require_lambda_free(a, "input")
+    _require(False, ("input", a, False))
     if not 0 <= c < a.alphabet.size:
         raise ValueError("quotient symbol out of range")
     new_start = a.state_count
@@ -64,7 +69,7 @@ def left_quotient_symbol(a: Nfa, c: int, drop_symbol: bool = False) -> Nfa:
     finals_out = set(a.finals)
     if after_c & a.final_mask:
         finals_out.add(new_start)
-    return Nfa(a.state_count + 1, a.alphabet, new_start, frozenset(finals_out), frozenset(trans))
+    return Nfa.from_edges(a.state_count + 1, a.alphabet, new_start, finals_out, trans)
 
 
 # Binary cores K (start 0) for which the suffix-free c·K has a complement

@@ -19,13 +19,13 @@ def random_nfa(rng: random.Random, max_states=4, labels="ab", lambda_prob=0.1) -
                 continue  # self lambda loops are pointless noise
             trans.add((src, sym, dst))
     finals = frozenset(q for q in range(n) if rng.random() < 0.4)
-    return Nfa(n, alpha, 0, finals, frozenset(trans))
+    return Nfa.from_edges(n, alpha, 0, finals, trans)
 
 
 def random_non_returning_nfa(rng, max_states=4, labels="ab") -> Nfa:
     a = random_nfa(rng, max_states, labels, lambda_prob=0.0)
-    trans = frozenset(t for t in a.transitions if t[2] != a.start)
-    return Nfa(a.state_count, a.alphabet, a.start, a.finals, trans)
+    trans = [t for t in a.transitions if t[2] != a.start]
+    return Nfa.from_edges(a.state_count, a.alphabet, a.start, a.finals, trans)
 
 
 def all_words(alpha: Alphabet, max_len: int):

@@ -28,7 +28,7 @@ def _candidate_nfa(a: Nfa, k: int, cells: tuple[int, ...], finals_mask: int) -> 
             for dst in bits(cells[st * s + x]):
                 trans.add((st, x, dst))
     finals = frozenset(q for q in range(k) if finals_mask >> q & 1)
-    return Nfa(k, a.alphabet, 0, finals, frozenset(trans))
+    return Nfa.from_edges(k, a.alphabet, 0, finals, trans)
 
 
 def _final_mask_options(cells, k, s, parents, symbols, labels, f_max):

@@ -1,10 +1,13 @@
 """Frozenset reference versions of the automaton algorithms, for
-differential tests of the bitmask core in ``sfnfa.automata`` and of the
-suffix-freeness walk in ``sfnfa.suffixfree``.
+differential tests of the bitmask core in ``sfnfa.automata``, of the
+constructions in ``sfnfa.constructions`` and of the suffix-freeness walk in
+``sfnfa.suffixfree``.
 
-They read only an ``Nfa``'s defining fields (start, finals, transitions)
-and simulate state sets as frozensets, one ``(state, symbol)`` lookup at a
-time, so they share no code with the masks they check.
+They read an ``Nfa`` only through its start and its ``finals`` and
+``transitions`` views, simulate state sets as frozensets, one
+``(state, symbol)`` lookup at a time, and build every automaton from a set
+of edges through ``Nfa.from_edges``, so they share no code with the masks
+they check.
 """
 
 from sfnfa.automata import Dfa, Nfa
@@ -44,7 +47,7 @@ def remove_lambda(a: Nfa) -> Nfa:
                     for r in dsts:
                         trans.add((p, sym, r))
     finals = frozenset(p for p in range(a.state_count) if closures[p] & a.finals)
-    return Nfa(a.state_count, a.alphabet, a.start, finals, frozenset(trans))
+    return Nfa.from_edges(a.state_count, a.alphabet, a.start, finals, trans)
 
 
 def accepts(a: Nfa, w) -> bool:
@@ -119,12 +122,12 @@ def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
     coreach = _graph_reach({(dst, src) for src, dst in edges}, a.finals)
     useful = sorted(reach & coreach)
     if a.start not in useful:
-        return Nfa(1, a.alphabet, 0, frozenset(), frozenset()), ()
+        return Nfa.from_edges(1, a.alphabet, 0, (), ()), ()
     remap = {old: new for new, old in enumerate(useful)}
     trans = frozenset((remap[s], x, remap[d]) for s, x, d in a.transitions
                       if s in remap and d in remap)
     finals = frozenset(remap[q] for q in a.finals if q in remap)
-    return Nfa(len(useful), a.alphabet, remap[a.start], finals, trans), tuple(useful)
+    return Nfa.from_edges(len(useful), a.alphabet, remap[a.start], finals, trans), tuple(useful)
 
 
 def determinize(a: Nfa) -> Dfa:
@@ -208,25 +211,30 @@ def proper_suffix_language(a: Nfa) -> Nfa:
     finals = {q + offset for q in a.finals}
     if a.start in a.finals:  # lambda in L: any nonempty junk word qualifies
         finals.add(1)
-    return Nfa(a.state_count + offset, a.alphabet, 0, frozenset(finals), frozenset(trans))
+    return Nfa.from_edges(a.state_count + offset, a.alphabet, 0, finals, trans)
 
 
-def product_intersection(a: Nfa, b: Nfa) -> Nfa:
-    """The product over the pairs reachable from (start, start)."""
+def product_intersection_with_pairs(a: Nfa, b: Nfa) -> tuple[Nfa, tuple]:
+    """The product over the pairs reachable from (start, start), numbered
+    in breadth-first order, and the pair of each state."""
     da, db = delta(a), delta(b)
     index = {(a.start, b.start): 0}
     order = [(a.start, b.start)]
     trans = set()
     for src, (p, q) in enumerate(order):
         for x in range(a.alphabet.size):
-            for p2 in da.get((p, x), ()):
-                for q2 in db.get((q, x), ()):
+            for p2 in sorted(da.get((p, x), ())):
+                for q2 in sorted(db.get((q, x), ())):
                     if (p2, q2) not in index:
                         index[p2, q2] = len(order)
                         order.append((p2, q2))
                     trans.add((src, x, index[p2, q2]))
     finals = frozenset(i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals)
-    return Nfa(len(order), a.alphabet, 0, finals, frozenset(trans))
+    return Nfa.from_edges(len(order), a.alphabet, 0, finals, trans), tuple(order)
+
+
+def product_intersection(a: Nfa, b: Nfa) -> Nfa:
+    return product_intersection_with_pairs(a, b)[0]
 
 
 def is_empty(a: Nfa) -> bool:
@@ -268,3 +276,61 @@ def is_suffix_free(a: Nfa) -> SuffixFreeness:
         if accepts(a, shorter):
             return SuffixFreeness(False, (shorter, longer))
     raise CertificateError("the overlap word has no accepted proper suffix")
+
+
+# The constructions of ``sfnfa.constructions`` on edge sets, for lambda-free
+# inputs that meet their preconditions.
+
+def _skip_start_map(a: Nfa, offset: int) -> dict[int, int]:
+    """Renumber non-start states densely starting at ``offset``."""
+    others = [q for q in range(a.state_count) if q != a.start]
+    return {q: offset + i for i, q in enumerate(others)}
+
+
+def union_sf(a: Nfa, b: Nfa) -> Nfa:
+    """The two starts merged into state 0, then a's other states, then b's."""
+    a_map = _skip_start_map(a, offset=1)
+    b_map = _skip_start_map(b, offset=a.state_count)
+    a_map[a.start] = b_map[b.start] = 0
+    trans = {(a_map[s], x, a_map[d]) for s, x, d in a.transitions}
+    trans |= {(b_map[s], x, b_map[d]) for s, x, d in b.transitions}
+    finals = {a_map[q] for q in a.finals} | {b_map[q] for q in b.finals}
+    return Nfa.from_edges(a.state_count + b.state_count - 1, a.alphabet, 0, finals, trans)
+
+
+def concat_sf(a: Nfa, b: Nfa) -> Nfa:
+    """b's start dropped, a's finals bridged with its out-edges."""
+    b_map = _skip_start_map(b, offset=a.state_count)
+    trans = set(a.transitions)
+    for src, x, dst in b.transitions:
+        if src != b.start:
+            trans.add((b_map[src], x, b_map[dst]))
+        else:
+            trans |= {(f, x, b_map[dst]) for f in a.finals}
+    finals = {b_map[q] for q in b.finals if q != b.start}
+    if b.start in b.finals:
+        finals |= a.finals
+    return Nfa.from_edges(a.state_count + b.state_count - 1, a.alphabet, a.start, finals, trans)
+
+
+def intersect_sf_with_pairs(a: Nfa, b: Nfa) -> tuple[Nfa, tuple]:
+    product, pairs = product_intersection_with_pairs(a, b)
+    trimmed, useful = trim_with_indices(product)
+    return trimmed, tuple(pairs[i] for i in useful) or (None,)
+
+
+def star_sf(a: Nfa) -> Nfa:
+    """Finals copy the start's out-edges; the start becomes final."""
+    trans = set(a.transitions)
+    trans |= {(f, x, d) for s, x, d in a.transitions if s == a.start for f in a.finals}
+    return Nfa.from_edges(a.state_count, a.alphabet, a.start, a.finals | {a.start}, trans)
+
+
+def reverse_nfa(a: Nfa) -> Nfa:
+    """Every edge flipped; a fresh start takes the flipped edges into the
+    old finals, and the old start is final."""
+    new_start = a.state_count
+    trans = {(d, x, s) for s, x, d in a.transitions}
+    trans |= {(new_start, x, s) for s, x, d in a.transitions if d in a.finals}
+    finals = {a.start, new_start} if a.start in a.finals else {a.start}
+    return Nfa.from_edges(a.state_count + 1, a.alphabet, new_start, finals, trans)

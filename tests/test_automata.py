@@ -1,15 +1,18 @@
+import json
 import random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from sfnfa.automata import (
     Dfa,
     Nfa,
+    _subset_walk,
     accepts,
     alphabet,
+    bits,
     canonical_dfa,
-    determinize_with_subsets,
     empty_nfa,
     enumerate_words,
     equivalent,
@@ -19,7 +22,10 @@ from sfnfa.automata import (
     trim,
     trim_with_indices,
 )
+from sfnfa.cli import main
 from sfnfa.constructions import reverse_nfa
+from sfnfa.errors import ParseError
+from sfnfa.serialize import from_json, to_document
 from sfnfa.suffixfree import is_non_returning
 from sfnfa.witnesses import Family, WitnessSpec, build
 
@@ -31,6 +37,89 @@ from fooling_oracle import word_masks
 
 def words(a, texts):
     return [a.alphabet.word(t) for t in texts]
+
+
+def _doc(**changes) -> str:
+    doc = {"alphabet": ["a", "b"], "states": 2, "start": 0, "finals": [1],
+           "transitions": [[0, "a", 1]]}
+    return json.dumps(dict(doc, **changes))
+
+
+class TestNfaValidation:
+    """``Nfa`` only validates its masks, with explicit raises that ``python
+    -O`` keeps; ``from_edges`` and the JSON loader keep their messages."""
+
+    ab = alphabet("ab")
+    rows = ((2, 0), (0, 0))  # 0 -a-> 1 over two states
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 0, (), ()), "state_count must be positive"),
+        ((2, 0, ((2, 0),), (0, 0)), "successor masks must be a row"),
+        ((2, 0, ((2, 0), (0, 0), (0, 0)), (0, 0)), "successor masks must be a row"),
+        ((2, 0, ((2, 0), (0, 0)), (0,)), "successor masks must be a row"),
+        ((2, 0, ((2,), (0, 0)), (0, 0)), "successor masks must be a row"),
+        ((2, 0, ((2, 0), (0, 0, 0)), (0, 0)), "successor masks must be a row"),
+        ((2, 0, ((-1, 0), (0, 0)), (0, 0)), "mask out of range"),
+        ((2, 0, ((4, 0), (0, 0)), (0, 0)), "mask out of range"),
+        ((2, 0, ((2, 0), (0, 0)), (0, 4)), "mask out of range"),
+        ((2, 0, ((2, 0), (0, 0)), (-2, 0)), "mask out of range"),
+        ((2, 4, ((2, 0), (0, 0)), (0, 0)), "mask out of range"),
+        ((2, -1, ((2, 0), (0, 0)), (0, 0)), "mask out of range"),
+    ])
+    def test_bad_masks_raise(self, args, message):
+        n, final_mask, succ, lam = args
+        with pytest.raises(ValueError, match=message):
+            Nfa(n, self.ab, 0, final_mask, succ, lam)
+
+    @pytest.mark.parametrize("start", [-1, 2])
+    def test_start_out_of_range(self, start):
+        with pytest.raises(ValueError, match="start state out of range"):
+            Nfa(2, self.ab, start, 2, self.rows, (0, 0))
+
+    def test_equality_and_hash_follow_the_masks(self):
+        a = Nfa(2, self.ab, 0, 2, self.rows, (0, 0))
+        b = make_nfa(2, "ab", 0, [1], [(0, "a", 1), (0, "a", 1)])
+        assert a == b and hash(a) == hash(b)
+        assert a.finals == {1} and a.transitions == {(0, 0, 1)}
+        assert a != Nfa(2, self.ab, 1, 2, self.rows, (0, 0))
+
+    @pytest.mark.parametrize("states, start, finals, edges, message", [
+        (0, 0, [], [], "state_count must be positive"),
+        (2, 2, [7], [(0, 9, 0)], "start state out of range"),
+        (2, 0, [2], [(0, 0, 5)], "final state out of range"),
+        (2, 0, [1], [(0, 0, 2)], "transition endpoint out of range"),
+        (2, 0, [1], [(-1, None, 0)], "transition endpoint out of range"),
+        (2, 0, [1], [(0, 2, 1)], "transition symbol out of range"),
+    ])
+    def test_from_edges_messages(self, states, start, finals, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Nfa.from_edges(states, self.ab, start, finals, edges)
+
+    @pytest.mark.parametrize("text, message", [
+        (_doc(states=0), "states must be a positive integer"),
+        (_doc(start=2), "malformed automaton: start state out of range"),
+        (_doc(start=5, finals=[7]), "malformed automaton: start state out of range"),
+        (_doc(finals=[2]), "malformed automaton: final state out of range"),
+        (_doc(finals=[-1], transitions=[[0, "a", 2]]),
+         "malformed automaton: final state out of range"),
+        (_doc(transitions=[[0, "a", 2]]), "malformed automaton: transition endpoint out of range"),
+        (_doc(transitions=[[0, "~", -1]]), "malformed automaton: transition endpoint out of range"),
+        (_doc(transitions=[[0, "c", 1]]), "symbol 'c' not in alphabet ('a', 'b')"),
+    ])
+    def test_malformed_documents(self, tmp_path, text, message):
+        with pytest.raises(ParseError) as info:
+            from_json(text)
+        assert str(info.value) == message
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["check", str(path)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+
+    def test_duplicate_edges_load_as_one(self):
+        a = from_json(_doc(transitions=[[0, "a", 1], [0, "a", 1], [1, "~", 0], [1, "~", 0]]))
+        assert a.succ == ((2, 0), (0, 0)) and a.lam == (0, 1)
+        assert to_document(a)["transitions"] == [[0, "a", 1], [1, "~", 0]]
 
 
 class TestRemoveLambda:
@@ -117,9 +206,9 @@ class TestDeterminize:
         rng = random.Random(11)
         for _ in range(20):
             a = random_non_returning_nfa(rng)
-            _, subsets = determinize_with_subsets(a)
+            _, subsets = _subset_walk(a.succ, 1 << a.start)
             for sub in subsets:
-                assert not (a.start in sub and len(sub) > 1)
+                assert not (sub >> a.start & 1 and sub != 1 << a.start)
 
     def test_star_witness_against_hand_built_counter(self):
         # Oracle: direct mod-3 counter DFA for b (a^3)*, built by hand.
@@ -361,11 +450,12 @@ class TestMaskCoreAgainstSetOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(random_lambda_nfas)
-    def test_determinize_with_subsets(self, a):
+    def test_subset_walk(self, a):
         a = remove_lambda(a)
-        dfa, subsets = determinize_with_subsets(a)
+        dfa = determinize(a)
+        _, subsets = _subset_walk(a.succ, 1 << a.start)
         want, want_subsets = set_oracle.determinize_with_subsets(a)
-        assert subsets == want_subsets
+        assert tuple(frozenset(bits(sub)) for sub in subsets) == want_subsets
         assert dfa == want and dfa.sink == want.sink
 
     @settings(max_examples=150, deadline=None)

@@ -159,6 +159,18 @@ class TestOp:
         assert expected[name] in result.output
         assert not out.exists()
 
+    def test_strict_names_the_least_returning_edge(self, runner, tmp_path):
+        # Two edges return to the start; the least, (1, b, 0), is named.
+        path = tmp_path / "in.json"
+        dump(make_nfa(3, "ab", 0, [2], [(0, "a", 1), (1, "a", 2), (2, "b", 0), (1, "b", 0)]),
+             path)
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["op", "star", str(path), "-o", str(out), "--strict"])
+        assert result.exit_code == 3
+        assert result.output == ("error: non-returning precondition violated "
+                                 "(witness transition (1, b, 0))\n")
+        assert not out.exists()
+
     def test_reverse_strict_accepts_suffix_free(self, runner, tmp_path):
         path = write_witness(tmp_path, WitnessSpec(Family.REVERSAL, 4))
         out = tmp_path / "out.json"
@@ -169,8 +181,7 @@ class TestOp:
     def test_failed_construction_check_exit_4(self, runner, tmp_path, monkeypatch):
         from sfnfa import constructions
 
-        monkeypatch.setattr(constructions, "determinize_with_subsets",
-                            lambda a: (None, (frozenset({a.start, 1}),)))
+        monkeypatch.setattr(constructions, "_subset_walk", lambda rows, start: (None, [start | 2]))
         path = write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3))
         out = tmp_path / "out.json"
         result = runner.invoke(main, ["op", "complement", str(path), "-o", str(out)])

@@ -3,13 +3,14 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfnfa import bounds, constructions, suffixfree
 from sfnfa.automata import (
     LAMBDA,
+    Alphabet,
     Nfa,
     accepts,
     alphabet,
@@ -18,6 +19,7 @@ from sfnfa.automata import (
     equivalent,
     lambda_nfa,
     make_nfa,
+    product_intersection_with_pairs,
     remove_lambda,
     trim,
 )
@@ -31,9 +33,11 @@ from sfnfa.constructions import (
     union_sf,
 )
 from sfnfa.errors import CertificateError, NonReturningViolation, SuffixFreeViolation
+from sfnfa.serialize import to_json
 from sfnfa.suffixfree import is_suffix_free
 from sfnfa.witnesses import Family, WitnessSpec, build
 
+import set_oracle
 from automata_extras import dfa_accepts, dfa_complement, dfa_to_nfa, left_quotient_symbol
 from conftest import all_words
 
@@ -51,7 +55,7 @@ def star_oracle(a: Nfa) -> Nfa:
     for f in a.finals:
         trans.add((f, LAMBDA, s0))
     return remove_lambda(
-        Nfa(a.state_count + 1, a.alphabet, s0, frozenset({s0}), frozenset(trans))
+        Nfa.from_edges(a.state_count + 1, a.alphabet, s0, {s0}, trans)
     )
 
 
@@ -344,27 +348,26 @@ class TestCertificateChecks:
 
     def test_intersection_bound(self, monkeypatch):
         a, b = build(WitnessSpec(Family.INTERSECT_PAIR, 3, 3))
-        too_big = Nfa(6, a.alphabet, 0, frozenset({5}), frozenset())
+        too_big = Nfa.from_edges(6, a.alphabet, 0, {5}, ())
         monkeypatch.setattr(constructions, "trim_with_indices", lambda p: (too_big, (0,)))
         with pytest.raises(CertificateError, match="above its bound 5"):
             intersect_sf(a, b)
 
     def test_non_returning_subset(self, monkeypatch):
         w = build(WitnessSpec(Family.LEMMA_L1, 3))
-        real = constructions.determinize_with_subsets
+        real = constructions._subset_walk
 
-        def with_start_subset(a):
-            dfa, subsets = real(a)
-            return dfa, subsets + (frozenset({a.start, 1}),)
+        def with_start_subset(rows, start):
+            table, order = real(rows, start)
+            return table, order + [start | 2]
 
-        monkeypatch.setattr(constructions, "determinize_with_subsets", with_start_subset)
+        monkeypatch.setattr(constructions, "_subset_walk", with_start_subset)
         with pytest.raises(CertificateError, match="holds the start"):
             complement_sf(w)
 
     def test_complement_bound(self, monkeypatch):
         w = build(WitnessSpec(Family.LEMMA_L1, 3))
-        monkeypatch.setattr(constructions, "determinize_with_subsets",
-                            lambda a: (SimpleNamespace(state_count=6), ()))
+        monkeypatch.setattr(constructions, "_subset_walk", lambda rows, start: ([], [0] * 6))
         with pytest.raises(CertificateError, match="above its bound 5"):
             complement_sf(w)
 
@@ -397,8 +400,8 @@ def test_certificate_checks_run_under_optimize():
     would be stripped by ``python -O`` and the class would fail there.  The
     fooling-set verifier must reject the mutated paper sets there too, and
     the survivor walk and the suffix-overlap walk must agree with their
-    oracles there, and the cover search must still drop a cover whose NFA
-    fails its equivalence check."""
+    oracles there, the cover search must still drop a cover whose NFA
+    fails its equivalence check, and ``Nfa`` must still refuse bad masks."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -408,7 +411,78 @@ def test_certificate_checks_run_under_optimize():
          "tests/test_bounds.py::TestFoolingSetMutations",
          "tests/test_bounds.py::TestSurvivorDecision",
          "tests/test_bounds.py::TestCoverSearch",
-         "tests/test_suffix_free.py::TestWalkAgainstSetOracle"],
+         "tests/test_suffix_free.py::TestWalkAgainstSetOracle",
+         "tests/test_automata.py::TestNfaValidation"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+@st.composite
+def small_nfas(draw, labels, lambdas=False, non_returning=False):
+    """1-6 states with any start, edges over ``labels`` (and lambda edges
+    when asked), and none into the start when ``non_returning``."""
+    alpha = Alphabet(tuple(labels))
+    n = draw(st.integers(1, 6))
+    start = draw(st.integers(0, n - 1))
+    symbols = [*range(alpha.size), *([LAMBDA] if lambdas else [])]
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(symbols),
+                                    st.integers(0, n - 1)), max_size=3 * n))
+    if non_returning:
+        edges = [e for e in edges if e[2] != start]
+    finals = draw(st.sets(st.integers(0, n - 1)))
+    return Nfa.from_edges(n, alpha, start, finals, edges)
+
+
+labels_1_to_3 = st.sampled_from(["a", "ab", "abc"])
+
+
+def operands(left_non_returning=True):
+    """Two lambda-free NFAs over one alphabet; the right one non-returning."""
+    return labels_1_to_3.flatmap(lambda labels: st.tuples(
+        small_nfas(labels, non_returning=left_non_returning),
+        small_nfas(labels, non_returning=True)))
+
+
+class TestMasksAgainstSetOracle:
+    """Each mask-built result serializes to the same bytes as the edge-set
+    construction of ``set_oracle``, on inputs whose start need not be 0."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels_1_to_3.flatmap(lambda labels: small_nfas(labels, lambdas=True)))
+    def test_remove_lambda(self, a):
+        assert to_json(remove_lambda(a)) == to_json(set_oracle.remove_lambda(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands(left_non_returning=False))
+    def test_product(self, ab):
+        got, pairs = product_intersection_with_pairs(*ab)
+        want, want_pairs = set_oracle.product_intersection_with_pairs(*ab)
+        assert (to_json(got), pairs) == (to_json(want), want_pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands())
+    def test_union(self, ab):
+        assert to_json(union_sf(*ab)) == to_json(set_oracle.union_sf(*ab))
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands(left_non_returning=False))
+    def test_concat(self, ab):
+        assert to_json(concat_sf(*ab)) == to_json(set_oracle.concat_sf(*ab))
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands())
+    def test_intersect(self, ab):
+        got, pairs = intersect_sf_with_pairs(*ab)
+        want, want_pairs = set_oracle.intersect_sf_with_pairs(*ab)
+        assert (to_json(got), pairs) == (to_json(want), want_pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels_1_to_3.flatmap(lambda labels: small_nfas(labels, non_returning=True)))
+    def test_star(self, a):
+        assert to_json(star_sf(a)) == to_json(set_oracle.star_sf(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels_1_to_3.flatmap(small_nfas))
+    def test_reverse(self, a):
+        assert to_json(reverse_nfa(a)) == to_json(set_oracle.reverse_nfa(a))

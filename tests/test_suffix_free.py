@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfnfa.automata import accepts, empty_nfa, alphabet, lambda_nfa, make_nfa, remove_lambda, trim
-from sfnfa.suffixfree import is_non_returning, is_suffix_free
+from sfnfa.suffixfree import is_non_returning, is_suffix_free, start_in_transition
 from sfnfa.witnesses import Family, WitnessSpec, build
 
 import set_oracle
@@ -42,6 +42,15 @@ class TestNonReturning:
 
     def test_empty_automaton(self):
         assert is_non_returning(empty_nfa(alphabet("ab")))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_witness_is_the_least_edge_into_the_start(self, seed):
+        # Lambda edges sort after the symbols of their source.
+        a = random_nfa(random.Random(seed), max_states=5, lambda_prob=0.3)
+        into = [(s, x, d) for s, x, d in a.transitions if d == a.start]
+        want = min(into, key=lambda t: (t[0], t[1] is None, t[1] or 0), default=None)
+        assert start_in_transition(a) == want
 
 
 class TestIsSuffixFree:
