@@ -4,7 +4,6 @@ for suffix-free regular languages."""
 from ._kernel import IMPL as kernel_impl
 from .automata import (
     Alphabet,
-    Dfa,
     Nfa,
     Word,
     accepts,
@@ -15,7 +14,6 @@ from .automata import (
     equivalent,
     lambda_nfa,
     make_nfa,
-    minimize,
     remove_lambda,
     trim,
 )
@@ -57,9 +55,9 @@ from .witnesses import Family, WitnessSpec, build
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "Dfa", "Nfa", "Word", "accepts", "alphabet", "canonical_dfa",
+    "Alphabet", "Nfa", "Word", "accepts", "alphabet", "canonical_dfa",
     "empty_nfa", "enumerate_words", "equivalent", "lambda_nfa", "make_nfa",
-    "minimize", "remove_lambda", "trim",
+    "remove_lambda", "trim",
     "ComplexityReport", "FoolingFamily", "FoolingSet", "LowerBoundKind",
     "Operation", "certify", "formula_value", "nsc_exhaustive",
     "paper_fooling_set", "search_fooling_set", "verify_fooling_set",

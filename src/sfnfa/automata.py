@@ -5,13 +5,15 @@ an int bitmask with bit q for state q.  An ``Nfa`` is its successor masks:
 one mask per state and symbol, one per state for lambda edges, and one for
 the finals.  ``Nfa.from_edges`` is the one place where a list of
 ``(src, symbol, dst)`` edges becomes masks; every algorithm here reads and
-builds masks directly.  All values are immutable, so automata can be shared
-freely between workers.
+builds masks directly.  There is no second automaton type: a complete DFA,
+such as ``canonical_dfa`` returns, is an ``Nfa`` without lambda edges whose
+every successor mask holds exactly one bit.  All values are immutable, so
+automata can be shared freely between workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import or_
@@ -293,33 +295,6 @@ def reachable_sets(rows, start: int):
                 queue.append((word + (x,), nxt))
 
 
-@dataclass(frozen=True)
-class Dfa:
-    """A complete deterministic automaton.
-
-    ``table[q][x]`` is the successor of state q on symbol index x.  ``sink``
-    marks the dead state introduced by determinization, when one exists; it
-    is informational and excluded from equality.
-    """
-
-    state_count: int
-    alphabet: Alphabet
-    start: int
-    finals: frozenset[int]
-    table: tuple[tuple[int, ...], ...]
-    sink: int | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if len(self.table) != self.state_count:
-            raise ValueError("transition table must cover every state")
-        for row in self.table:
-            if len(row) != self.alphabet.size:
-                raise ValueError("transition table must be total")
-            for q in row:
-                if not 0 <= q < self.state_count:
-                    raise ValueError("table entry out of range")
-
-
 def _subset_walk(rows, start: int) -> tuple[list[list[int]], list[int]]:
     """The subset construction over masks: from the state set ``start``,
     breadth-first in symbol order, each discovered set's successor row as
@@ -348,16 +323,16 @@ def _subset_walk(rows, start: int) -> tuple[list[list[int]], list[int]]:
     return table, order
 
 
-def _minimal(alpha: Alphabet, table, final: list[bool], start: int) -> Dfa:
+def _minimal(alpha: Alphabet, table, final: list[bool]) -> Nfa:
     """The minimal DFA of the complete table ``table`` (lists of successor
-    indices) with final flags ``final``, in canonical numbering.
+    indices, start 0) with final flags ``final``, in canonical numbering,
+    as an ``Nfa`` with one successor bit per cell.
 
     Moore refinement keys each state by its block and its successors'
     blocks, and stops at the first round that splits no block, or once
     every state has a block of its own.  The blocks are then numbered
     breadth-first from the start's block in symbol order, which visits
-    only the reachable ones.  ``sink`` is the first non-final state that
-    loops to itself on every symbol."""
+    only the reachable ones."""
     first: dict[bool, int] = {}
     block = [first.setdefault(f, len(first)) for f in final]
     count = len(first)
@@ -379,33 +354,27 @@ def _minimal(alpha: Alphabet, table, final: list[bool], start: int) -> Dfa:
         if rep[b] < 0:
             rep[b] = q
     num = [-1] * count
-    num[block[start]] = 0
-    order = [block[start]]
-    rows = []
-    for b in order:  # grows as blocks are discovered: a BFS queue
+    num[block[0]] = 0
+    order = [block[0]]
+    succ = []
+    final_mask = 0
+    for i, b in enumerate(order):  # grows as blocks are discovered: a BFS queue
+        final_mask |= final[rep[b]] << i
         row = []
         for r in table[rep[b]]:
             c = block[r]
             if num[c] < 0:
                 num[c] = len(order)
                 order.append(c)
-            row.append(num[c])
-        rows.append(tuple(row))
-    finals = frozenset(i for i, b in enumerate(order) if final[rep[b]])
-    sink = next((i for i, row in enumerate(rows)
-                 if i not in finals and row.count(i) == len(row)), None)
-    return Dfa(len(rows), alpha, 0, finals, tuple(rows), sink=sink)
+            row.append(1 << num[c])
+        succ.append(tuple(row))
+    return Nfa(len(succ), alpha, 0, final_mask, tuple(succ), (0,) * len(succ))
 
 
-def minimize(d: Dfa) -> Dfa:
-    """Minimal complete DFA in canonical (BFS from start, symbol order)
-    numbering, so language-equal DFAs minimize to equal values."""
-    final = [q in d.finals for q in range(d.state_count)]
-    return _minimal(d.alphabet, d.table, final, d.start)
-
-
-def canonical_dfa(a: Nfa) -> Dfa:
-    """Minimal canonical DFA of an NFA's language.  With lambda edges the
+def canonical_dfa(a: Nfa) -> Nfa:
+    """Minimal canonical DFA of an NFA's language: a complete, lambda-free
+    ``Nfa`` whose every successor mask holds one bit, so that two of them
+    are equal iff their languages are.  With lambda edges the
     subset walk runs on lambda-closed sets: each successor mask is closed,
     so a closed set steps to the closure of its successors, and no
     lambda-free automaton is built."""
@@ -414,7 +383,7 @@ def canonical_dfa(a: Nfa) -> Dfa:
         rows = [[_reach(a.lam, m) for m in row] for row in a.succ]
         start = _reach(a.lam, start)
     table, order = _subset_walk(rows, start)
-    return _minimal(a.alphabet, table, [bool(sub & a.final_mask) for sub in order], 0)
+    return _minimal(a.alphabet, table, [bool(sub & a.final_mask) for sub in order])
 
 
 def equivalent(a: Nfa, b: Nfa) -> bool:

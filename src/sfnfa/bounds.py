@@ -11,7 +11,6 @@ from itertools import islice
 
 from . import _kernel
 from .automata import (
-    Dfa,
     Nfa,
     accepts,  # no longer called here; the benchmark's tracer wraps it at this name
     alphabet,
@@ -457,60 +456,39 @@ def _sample_trie(alphabet_size: int, depth: int) -> tuple[list[int], list[int]]:
     return parents, symbols
 
 
-def _survivor_equivalent(cells, k: int, target: Dfa) -> bool:
+def _survivor_equivalent(cells, k: int, target: Nfa) -> bool:
     """Whether some final set makes the table ``cells`` (start state 0)
     accept L(target), for a complete target DFA.
 
-    The walk visits the pairs (S, q) reachable from ({0}, target.start),
-    where S steps along the cell masks and q through the target; the pairs
-    do not depend on the final set F.  The candidate is equivalent iff
-    S & F is non-zero exactly at the pairs whose q is final.  A pair with a
-    non-final q forbids every state of S, and a pair with a final q needs
-    one state of S outside the forbidden set; taking F as every state not
-    forbidden, the candidate is equivalent iff any F makes it so.  A pair
-    with a final q whose S is already inside the forbidden set ends the
-    walk, as the forbidden set only grows."""
+    The walk visits the pairs (S, q) reachable from ({0}, {target.start}),
+    S stepped along the cells and the one-bit q through the target; they do
+    not depend on the final set F.  The candidate is equivalent iff S & F is
+    non-zero exactly at the pairs whose q is final.  A pair with a non-final
+    q forbids every state of S, and one with a final q needs a state of S
+    outside the forbidden set; taking F as every state not forbidden, the
+    candidate is equivalent iff any F makes it so.  A final q whose S is
+    already forbidden ends the walk, as the forbidden set only grows."""
     s = target.alphabet.size
     rows = [cells[st * s:(st + 1) * s] for st in range(k)]
-    table, finals = target.table, target.finals
-    pair = (1, target.start)
+    succ, final_mask = target.succ, target.final_mask
+    pair = (1, 1 << target.start)
     seen = {pair}
     queue = [pair]
     forbidden = 0
     needs = []
     for states, q in queue:  # grows as pairs are discovered: a BFS queue
-        if q in finals:
+        if q & final_mask:
             if not states & ~forbidden:
                 return False
             needs.append(states)
         else:
             forbidden |= states
-        for x, r in enumerate(table[q]):
+        for x, r in enumerate(succ[q.bit_length() - 1]):
             pair = (step(rows, states, x), r)
             if pair not in seen:
                 seen.add(pair)
                 queue.append(pair)
     return all(states & ~forbidden for states in needs)
-
-
-def _shortest_accepted_length(d: Dfa) -> int | None:
-    """The BFS depth of the final state nearest d's start: the length of
-    the shortest accepted word, or None for the empty language."""
-    seen = {d.start}
-    level = [d.start]
-    depth = 0
-    while level:
-        if not d.finals.isdisjoint(level):
-            return depth
-        nxt = []
-        for q in level:
-            for r in d.table[q]:
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        level = nxt
-        depth += 1
-    return None
 
 
 def _fooling_floor(a: Nfa, known: int, max_states: int) -> FoolingSet | None:
@@ -554,7 +532,12 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     """
     sigma = a.alphabet.size
     target = canonical_dfa(a)
-    live = max(target.state_count - (target.sink is not None), 1)
+    # The one dead state, if any: a non-final state looping on every symbol.
+    live = target.state_count
+    for q, row in enumerate(target.succ):
+        if row.count(1 << q) == sigma and not target.final_mask >> q & 1:
+            live = max(live - 1, 1)
+            break
     # The subset floor: every k < live.bit_length() has 2^k - 1 < live.  It
     # is live itself for live <= 2, and the live states are then minimal.
     low = live.bit_length()
@@ -562,7 +545,10 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
         return live if live <= max_states else None
     trimmed = trim(remove_lambda(a))
     known = min(trimmed.state_count, live)
-    shortest = _shortest_accepted_length(target)
+    # The breadth-first walk meets the sets in length-lexicographic order
+    # of their words, so the first final one is a shortest accepted word's.
+    shortest = next((len(w) for w, states in reachable_sets(trimmed.succ, 1 << trimmed.start)
+                     if states & trimmed.final_mask), None)
     if shortest is not None:
         low = max(low, shortest + 1)
     if low < known and low <= max_states:
@@ -583,10 +569,10 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
         parents, symbols = _sample_trie(sigma, 2 * k)
         # Each trie node's target state, from its parent's; the target is
         # equivalent to a, so the node's word is in L(a) iff it is final.
-        state = [target.start]
+        state = [1 << target.start]
         for i in range(1, len(parents)):
-            state.append(target.table[state[parents[i]]][symbols[i]])
-        labels = [q in target.finals for q in state]
+            state.append(step(target.succ, state[parents[i]], symbols[i]))
+        labels = [bool(q & target.final_mask) for q in state]
         survivors = _kernel.filter_tables(
             k, sigma, parents, symbols, labels, cap=_SURVIVOR_CAP
         )
@@ -611,7 +597,6 @@ class Operation(enum.Enum):
 
 class LowerBoundKind(enum.Enum):
     FOOLING_SET = "FoolingSet"
-    EXHAUSTIVE = "Exhaustive"
     NONE = "None"
 
 
@@ -656,7 +641,7 @@ class OperationSpec:
     this module's globals at call time, so a rebinding of them is seen."""
 
     witness: Family
-    construct: Callable[..., Nfa | Dfa]
+    construct: Callable[..., Nfa]
     formula: Callable[[int, int | None], int]
     formula_text: str
     lower: FoolingFamily | str | None

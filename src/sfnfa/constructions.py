@@ -13,7 +13,6 @@ from __future__ import annotations
 from operator import or_
 
 from .automata import (
-    Dfa,
     Nfa,
     _subset_walk,
     bits,
@@ -153,11 +152,12 @@ def reverse_nfa(a: Nfa, strict: bool = False) -> Nfa:
     return Nfa(n + 1, a.alphabet, n, final_mask, succ, (0,) * (n + 1))
 
 
-def complement_sf(a: Nfa, strict: bool = False) -> Dfa:
-    """Complement as a complete DFA on at most 2^(m-1)+1 states.
+def complement_sf(a: Nfa, strict: bool = False) -> Nfa:
+    """Complement as a complete DFA on at most 2^(m-1)+1 states: an ``Nfa``
+    with one successor bit per cell.
 
     Determinization of a non-returning NFA can only reach {start}, subsets
-    avoiding the start, and the empty sink; swapping finals afterwards
+    avoiding the start, and the empty set; swapping finals afterwards
     yields the complement.
     """
     _require(strict, ("input", a, True))
@@ -171,6 +171,10 @@ def complement_sf(a: Nfa, strict: bool = False) -> Dfa:
     bound = 2 ** (a.state_count - 1) + 1
     if len(order) > bound:
         raise CertificateError(f"complement has {len(order)} states, above its bound {bound}")
-    finals = frozenset(i for i, sub in enumerate(order) if not sub & a.final_mask)
-    sink = order.index(0) if 0 in order else None
-    return Dfa(len(order), a.alphabet, 0, finals, tuple(map(tuple, table)), sink=sink)
+    final_mask = 0
+    succ = []
+    for i, (row, sub) in enumerate(zip(table, order)):
+        if not sub & a.final_mask:
+            final_mask |= 1 << i
+        succ.append(tuple([1 << j for j in row]))
+    return Nfa(len(order), a.alphabet, 0, final_mask, tuple(succ), (0,) * len(order))

@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 
-from .automata import Alphabet, Dfa, Nfa
+from .automata import Alphabet, Nfa
 from .errors import ParseError
 
 LAMBDA_LABEL = "~"
@@ -25,13 +25,10 @@ MAX_CELLS = 1 << 20
 MAX_MASK_BITS = 1 << 31
 
 
-def _transitions(a: Nfa | Dfa) -> list[list]:
+def _transitions(a: Nfa) -> list[list]:
     """``[src, label, dst]`` for every transition, sorted: by state, then by
     label with ``"~"`` among the labels, then by destination."""
     labels = a.alphabet.labels
-    if isinstance(a, Dfa):
-        order = sorted(zip(labels, range(len(labels))))
-        return [[src, label, row[x]] for src, row in enumerate(a.table) for label, x in order]
     # Index len(labels) of a state's row is its lambda mask.
     order = sorted(zip((*labels, LAMBDA_LABEL), range(len(labels) + 1)))
     out = []
@@ -46,12 +43,12 @@ def _transitions(a: Nfa | Dfa) -> list[list]:
     return out
 
 
-def _refuse_lambda_label(a: Nfa | Dfa) -> None:
+def _refuse_lambda_label(a: Nfa) -> None:
     if LAMBDA_LABEL in a.alphabet.labels:
         raise ValueError(f"alphabet label {LAMBDA_LABEL!r} is reserved for lambda edges")
 
 
-def to_document(a: Nfa | Dfa) -> dict:
+def to_document(a: Nfa) -> dict:
     _refuse_lambda_label(a)
     return {
         "alphabet": list(a.alphabet.labels),
@@ -62,7 +59,7 @@ def to_document(a: Nfa | Dfa) -> dict:
     }
 
 
-def to_json(a: Nfa | Dfa) -> str:
+def to_json(a: Nfa) -> str:
     return json.dumps(to_document(a))
 
 
@@ -139,7 +136,7 @@ def load(path) -> Nfa:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def dump(a: Nfa | Dfa, path) -> None:
+def dump(a: Nfa, path) -> None:
     """Atomic write: temp file in the target directory, then rename."""
     write_text_atomic(path, to_json(a) + "\n")
 
@@ -157,7 +154,7 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def to_dot(a: Nfa | Dfa, name: str = "automaton") -> str:
+def to_dot(a: Nfa, name: str = "automaton") -> str:
     """Graphviz DOT: double circles for finals, external arrow into start.
     Lambda edges are labelled λ, so a ``"~"`` label is refused as in
     ``to_document``; ``"`` and ``\\`` in a label are escaped."""

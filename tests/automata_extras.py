@@ -1,14 +1,11 @@
-"""Automaton helpers that only the tests use: DFA membership, complement
-and conversion to an NFA, the subset construction and the product without
-their state maps, the left quotient by one symbol, and complement
-witnesses whose complement DFA has 2^(m-1)+1 states."""
+"""Automaton helpers that only the tests use: the subset construction and
+the product without their state maps, the left quotient by one symbol, and
+complement witnesses whose complement DFA has 2^(m-1)+1 states."""
 
 from __future__ import annotations
 
 from sfnfa.automata import (
-    Dfa,
     Nfa,
-    Word,
     _subset_walk,
     bits,
     make_nfa,
@@ -19,32 +16,14 @@ from sfnfa.constructions import _require, complement_sf
 from sfnfa.witnesses import Family, WitnessSpec, build
 
 
-def dfa_accepts(d: Dfa, w: Word) -> bool:
-    q = d.start
-    for c in w:
-        q = d.table[q][c]
-    return q in d.finals
-
-
-def dfa_to_nfa(d: Dfa) -> Nfa:
-    trans = frozenset(
-        (q, x, d.table[q][x]) for q in range(d.state_count) for x in range(d.alphabet.size)
-    )
-    return Nfa.from_edges(d.state_count, d.alphabet, d.start, d.finals, trans)
-
-
-def dfa_complement(d: Dfa) -> Dfa:
-    finals = frozenset(q for q in range(d.state_count) if q not in d.finals)
-    return Dfa(d.state_count, d.alphabet, d.start, finals, d.table)
-
-
-def determinize(a: Nfa) -> Dfa:
-    """The subset construction of a lambda-free NFA; the empty set, when
-    reached, is the sink."""
+def determinize(a: Nfa) -> Nfa:
+    """The subset construction of a lambda-free NFA, as a complete DFA: an
+    ``Nfa`` with one successor bit per cell.  The empty set, when reached,
+    is a state like any other."""
     table, order = _subset_walk(a.succ, 1 << a.start)
-    finals = frozenset(i for i, sub in enumerate(order) if sub & a.final_mask)
-    sink = order.index(0) if 0 in order else None
-    return Dfa(len(order), a.alphabet, 0, finals, tuple(map(tuple, table)), sink=sink)
+    final_mask = sum(1 << i for i, sub in enumerate(order) if sub & a.final_mask)
+    succ = tuple(tuple(1 << r for r in row) for row in table)
+    return Nfa(len(order), a.alphabet, 0, final_mask, succ, (0,) * len(order))
 
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:
@@ -86,7 +65,7 @@ COMPLEMENT_CORES = {
 }
 
 
-def complement_witness(m: int) -> Dfa:
+def complement_witness(m: int) -> Nfa:
     """``complement_sf`` of the m-state c·K of ``COMPLEMENT_CORES[m]``."""
     states, finals, edges = COMPLEMENT_CORES[m]
     core = make_nfa(states, "ab", 0, finals, edges)

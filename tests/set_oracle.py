@@ -7,12 +7,35 @@ They read an ``Nfa`` only through its start and its ``finals`` and
 ``transitions`` views, simulate state sets as frozensets, one
 ``(state, symbol)`` lookup at a time, and build every automaton from a set
 of edges through ``Nfa.from_edges``, so they share no code with the masks
-they check.
+they check.  Their DFAs are a type of their own: a table of successor
+indices, not the one-bit masks of the package's DFAs.
 """
 
-from sfnfa.automata import Dfa, Nfa
+from dataclasses import dataclass, field
+
+from sfnfa.automata import Alphabet, Nfa
 from sfnfa.errors import CertificateError, PreconditionViolation
 from sfnfa.suffixfree import SuffixFreeness
+
+
+@dataclass(frozen=True)
+class Dfa:
+    """A complete DFA: ``table[q][x]`` is the successor of q on symbol x.
+    ``sink`` is the dead state, when one is known; it is excluded from
+    equality."""
+
+    state_count: int
+    alphabet: Alphabet
+    start: int
+    finals: frozenset
+    table: tuple
+    sink: int | None = field(default=None, compare=False)
+
+
+def as_nfa(d: Dfa) -> Nfa:
+    """The DFA as an ``Nfa`` with one edge per (state, symbol)."""
+    edges = [(q, x, r) for q, row in enumerate(d.table) for x, r in enumerate(row)]
+    return Nfa.from_edges(d.state_count, d.alphabet, d.start, d.finals, edges)
 
 
 def delta(a: Nfa) -> dict:

@@ -33,7 +33,6 @@ from sfnfa.serialize import from_json, to_json
 from sfnfa.suffixfree import is_suffix_free
 from sfnfa.witnesses import Family, WitnessSpec, build
 
-from automata_extras import dfa_accepts
 from conftest import all_words, random_nfa
 
 
@@ -125,7 +124,7 @@ def test_criterion_6_complement_upper_bound():
             assert d.state_count <= 2 ** (m - 1) + 1
             # Oracle: membership against the witness NFA directly.
             for word in all_words(w.alphabet, 8):
-                assert dfa_accepts(d, word) == (not accepts(w, word))
+                assert accepts(d, word) == (not accepts(w, word))
 
 
 def test_criterion_7_fooling_set_soundness():

@@ -1,12 +1,14 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import sfnfa
+from sfnfa import bounds
 from sfnfa.automata import (
-    Dfa,
     Nfa,
     _subset_walk,
     accepts,
@@ -17,20 +19,19 @@ from sfnfa.automata import (
     enumerate_words,
     equivalent,
     make_nfa,
-    minimize,
     remove_lambda,
     trim,
     trim_with_indices,
 )
 from sfnfa.cli import main
-from sfnfa.constructions import reverse_nfa
+from sfnfa.constructions import complement_sf, reverse_nfa
 from sfnfa.errors import ParseError
 from sfnfa.serialize import from_json, to_document
 from sfnfa.suffixfree import is_non_returning
 from sfnfa.witnesses import Family, WitnessSpec, build
 
 import set_oracle
-from automata_extras import determinize, dfa_accepts, product_intersection
+from automata_extras import determinize, product_intersection
 from conftest import all_words, random_nfa, random_non_returning_nfa
 from fooling_oracle import word_masks
 
@@ -197,10 +198,10 @@ class TestDeterminize:
     def test_singleton_language(self):
         a = make_nfa(2, "ab", 0, [1], [(0, "b", 1)])
         d = determinize(a)
-        assert d.state_count == 3  # start, accept, sink
-        assert d.sink is not None
-        assert dfa_accepts(d, a.alphabet.word("b"))
-        assert not dfa_accepts(d, a.alphabet.word("bb"))
+        assert d.state_count == 3  # start, dead, accept
+        assert d.succ == ((2, 4), (2, 2), (2, 2)) and d.final_mask == 4
+        assert accepts(d, a.alphabet.word("b"))
+        assert not accepts(d, a.alphabet.word("bb"))
 
     def test_non_returning_start_subset_isolated(self):
         rng = random.Random(11)
@@ -213,7 +214,6 @@ class TestDeterminize:
     def test_star_witness_against_hand_built_counter(self):
         # Oracle: direct mod-3 counter DFA for b (a^3)*, built by hand.
         w = build(WitnessSpec(Family.STAR, 4))
-        alpha = alphabet("ab")
         # states: 0 pre-b, 1..3 a-count mod 3 after the b, 4 dead
         table = (
             (4, 1),  # a -> dead, b -> counter 0
@@ -222,10 +222,11 @@ class TestDeterminize:
             (1, 4),
             (4, 4),
         )
-        oracle = Dfa(5, alpha, 0, frozenset({1}), table)
+        oracle = make_nfa(5, "ab", 0, [1], [(q, x, r) for q, row in enumerate(table)
+                                            for x, r in zip("ab", row)])
         d = determinize(w)
-        for word in all_words(alpha, 15):
-            assert dfa_accepts(d, word) == dfa_accepts(oracle, word)
+        for word in all_words(w.alphabet, 15):
+            assert accepts(d, word) == accepts(oracle, word)
 
 
 def oracle_union(a, b):
@@ -242,36 +243,31 @@ def oracle_union(a, b):
 
     idx(da.start, db.start)
     i = 0
-    table = []
+    edges = []
     while i < len(order):
         p, q = order[i]
-        table.append(tuple(
-            idx(da.table[p][x], db.table[q][x]) for x in range(da.alphabet.size)
-        ))
+        edges += [(i, x, idx(pm.bit_length() - 1, qm.bit_length() - 1))
+                  for x, (pm, qm) in enumerate(zip(da.succ[p], db.succ[q]))]
         i += 1
-    finals = frozenset(
-        k for k, (p, q) in enumerate(order) if p in da.finals or q in db.finals
-    )
-    return Dfa(len(order), da.alphabet, 0, finals, tuple(table))
+    finals = [k for k, (p, q) in enumerate(order) if p in da.finals or q in db.finals]
+    return Nfa.from_edges(len(order), da.alphabet, 0, finals, edges)
 
 
 class TestMinimize:
-    def test_idempotent(self):
-        a = build(WitnessSpec(Family.LEMMA_L2, 4))
-        d = minimize(determinize(a))
-        assert minimize(d) == d
+    """``canonical_dfa`` of a DFA, an ``Nfa`` with one successor bit per
+    cell, is its minimal DFA."""
 
     def test_union_construction_vs_product_union_oracle(self):
         from sfnfa.constructions import union_sf
 
         left, right = build(WitnessSpec(Family.UNION_PAIR, 3, 3))
-        ours = minimize(determinize(union_sf(left, right)))
-        oracle = minimize(oracle_union(left, right))
+        ours = canonical_dfa(determinize(union_sf(left, right)))
+        oracle = canonical_dfa(oracle_union(left, right))
         assert ours == oracle
 
     def test_empty_language_minimizes_to_one_state(self):
         d = determinize(empty_nfa(alphabet("ab")))
-        assert minimize(d).state_count == 1
+        assert canonical_dfa(d).state_count == 1
 
     def test_canonical_under_state_permutation(self):
         rng = random.Random(3)
@@ -280,15 +276,11 @@ class TestMinimize:
             d = determinize(a)
             perm = list(range(d.state_count))
             rng.shuffle(perm)
-            table = tuple(
-                tuple(perm[d.table[old][x]] for x in range(d.alphabet.size))
-                for old in sorted(range(d.state_count), key=lambda q: perm[q])
-            )
-            shuffled = Dfa(
-                d.state_count, d.alphabet, perm[d.start],
-                frozenset(perm[q] for q in d.finals), table,
-            )
-            assert minimize(shuffled) == minimize(d)
+            edges = [(perm[q], x, perm[m.bit_length() - 1])
+                     for q, row in enumerate(d.succ) for x, m in enumerate(row)]
+            shuffled = Nfa.from_edges(d.state_count, d.alphabet, perm[d.start],
+                                      [perm[q] for q in d.finals], edges)
+            assert canonical_dfa(shuffled) == canonical_dfa(d)
 
     def test_language_equal_iff_minimized_equal(self):
         rng = random.Random(5)
@@ -311,10 +303,9 @@ class TestEquivalent:
 
     def test_union_matches_oracle_m2_n2(self):
         from sfnfa.constructions import union_sf
-        from automata_extras import dfa_to_nfa
 
         left, right = build(WitnessSpec(Family.UNION_PAIR, 2, 2))
-        assert equivalent(union_sf(left, right), dfa_to_nfa(oracle_union(left, right)))
+        assert equivalent(union_sf(left, right), oracle_union(left, right))
 
     def test_distinct_cycle_lengths_differ(self):
         a = build(WitnessSpec(Family.LEMMA_L1, 3))
@@ -389,7 +380,7 @@ def test_membership_agreement_property(seed, word_len):
     word = tuple(rng.randrange(a.alphabet.size) for _ in range(word_len))
     lam_free = remove_lambda(a)
     d = determinize(lam_free)
-    assert accepts(a, word) == accepts(lam_free, word) == dfa_accepts(d, word)
+    assert accepts(a, word) == accepts(lam_free, word) == accepts(d, word)
 
 
 def test_membership_agreement_up_to_length_12():
@@ -398,7 +389,7 @@ def test_membership_agreement_up_to_length_12():
     lam_free = remove_lambda(a)
     d = determinize(lam_free)
     for word in all_words(a.alphabet, 12):
-        assert accepts(a, word) == accepts(lam_free, word) == dfa_accepts(d, word)
+        assert accepts(a, word) == accepts(lam_free, word) == accepts(d, word)
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,7 +447,8 @@ class TestMaskCoreAgainstSetOracle:
         _, subsets = _subset_walk(a.succ, 1 << a.start)
         want, want_subsets = set_oracle.determinize_with_subsets(a)
         assert tuple(frozenset(bits(sub)) for sub in subsets) == want_subsets
-        assert dfa == want and dfa.sink == want.sink
+        assert dfa == set_oracle.as_nfa(want)
+        assert (subsets.index(0) if 0 in subsets else None) == want.sink
 
     @settings(max_examples=150, deadline=None)
     @given(random_lambda_nfas)
@@ -474,8 +466,9 @@ random_kernel_nfas = st.builds(
 
 
 def _with_unreachable(d, rng, extra):
-    """d with ``extra`` unreachable states appended, whose edges go anywhere
-    and whose final flags are random, under a random renumbering."""
+    """The oracle DFA d with ``extra`` unreachable states appended, whose
+    edges go anywhere and whose final flags are random, under a random
+    renumbering."""
     n = d.state_count + extra
     table = list(d.table) + [
         tuple(rng.randrange(n) for _ in range(d.alphabet.size)) for _ in range(extra)]
@@ -483,38 +476,119 @@ def _with_unreachable(d, rng, extra):
     perm = list(range(n))
     rng.shuffle(perm)
     inv = sorted(range(n), key=perm.__getitem__)
-    return Dfa(n, d.alphabet, perm[d.start], frozenset(perm[q] for q in finals),
-               tuple(tuple(perm[r] for r in table[old]) for old in inv))
+    return set_oracle.Dfa(n, d.alphabet, perm[d.start], frozenset(perm[q] for q in finals),
+                          tuple(tuple(perm[r] for r in table[old]) for old in inv))
+
+
+def _dead_states(d: Nfa) -> list[int]:
+    """The non-final states of a DFA that step to themselves on every
+    symbol."""
+    return [q for q, row in enumerate(d.succ)
+            if row == (1 << q,) * d.alphabet.size and q not in d.finals]
 
 
 class TestCanonicalKernelAgainstOracle:
-    """The one-pass canonical DFA and ``minimize`` against the chain they
-    replaced: frozenset lambda removal and subset construction, the
-    reachable part, Moore refinement to a fixed point, the quotient and its
-    reachable part again.  ``sink`` is not part of equality, so it is
-    compared on its own."""
+    """The one-pass canonical DFA against the chain it replaced: frozenset
+    lambda removal and subset construction, the reachable part, Moore
+    refinement to a fixed point, the quotient and its reachable part again.
+    The oracle's DFAs are tables, compared as ``Nfa`` values with one edge
+    per cell; its dead state is compared on its own."""
 
     @settings(max_examples=300, deadline=None)
     @given(random_kernel_nfas)
     def test_canonical_dfa(self, a):
         got, want = canonical_dfa(a), set_oracle.canonical_dfa(a)
-        assert got == want
-        assert got.sink == want.sink
+        assert got == set_oracle.as_nfa(want)
+        assert _dead_states(got) == ([] if want.sink is None else [want.sink])
 
     @settings(max_examples=150, deadline=None)
     @given(random_kernel_nfas, st.integers(0, 2**31 - 1), st.integers(0, 4))
     def test_minimize_with_unreachable_states_and_renumbering(self, a, seed, extra):
+        # A DFA with unreachable states, started anywhere, is minimized by
+        # canonical_dfa like any other NFA.
         d = _with_unreachable(set_oracle.determinize(set_oracle.remove_lambda(a)),
                               random.Random(seed), extra)
-        got, want = minimize(d), set_oracle.minimize(d)
-        assert got == want and got.sink == want.sink
+        got, want = canonical_dfa(set_oracle.as_nfa(d)), set_oracle.minimize(d)
+        assert got == set_oracle.as_nfa(want)
         assert got == canonical_dfa(a)
 
-    def test_sink_is_the_dead_state(self):
+    def test_sink_is_the_dead_state(self, monkeypatch):
         # b a*: the start, the dead state 1 reached on a, and the final
         # a-loop 2 reached on b.
-        d = canonical_dfa(build(WitnessSpec(Family.LEMMA_L1, 2)))
-        assert d.table == ((1, 2), (1, 1), (2, 1)) and d.sink == 1
-        # Every word is accepted: no dead state.
-        assert canonical_dfa(make_nfa(1, "ab", 0, [0], [(0, "a", 0), (0, "b", 0)])).sink is None
-        assert canonical_dfa(empty_nfa(alphabet("ab"))).sink == 0
+        ba_star = build(WitnessSpec(Family.LEMMA_L1, 2))
+        d = canonical_dfa(ba_star)
+        assert d.succ == ((2, 4), (2, 2), (4, 2)) and d.final_mask == 4
+        assert _dead_states(d) == [1]
+        # nsc_exhaustive counts the states of the canonical DFA other than
+        # its dead state, and answers from that count alone when it is at
+        # most 2: no trimmed input is built.
+        def no_trim(a):
+            raise AssertionError("the trimmed input was built")
+
+        monkeypatch.setattr(bounds, "trim", no_trim)
+        sigma_star = make_nfa(1, "ab", 0, [0], [(0, "a", 0), (0, "b", 0)])
+        empty = empty_nfa(alphabet("ab"))
+        # a* b (a + b)*: a final state loops on every symbol, but it is not
+        # dead, so there are 2 live states.
+        has_b = make_nfa(2, "ab", 0, [1], [(0, "a", 0), (0, "b", 1), (1, "a", 1), (1, "b", 1)])
+        assert [_dead_states(canonical_dfa(x)) for x in (sigma_star, empty, has_b)] == [
+            [], [0], []]
+        assert [bounds.nsc_exhaustive(x, 3) for x in (ba_star, sigma_star, empty, has_b)] == [
+            2, 1, 1, 2]
+
+
+def _started_anywhere(seed, labels, lambda_prob, start) -> Nfa:
+    a = random_nfa(random.Random(seed), max_states=6, labels=labels, lambda_prob=lambda_prob)
+    return Nfa(a.state_count, a.alphabet, start % a.state_count, a.final_mask, a.succ, a.lam)
+
+
+random_dfa_inputs = st.builds(
+    _started_anywhere, st.integers(0, 2**31 - 1), st.sampled_from(["a", "ab", "abc"]),
+    st.sampled_from([0.0, 0.15, 0.3]), st.integers(0, 5),
+)
+
+
+def _non_returning(a: Nfa) -> Nfa:
+    """a without its lambda edges and its edges into the start."""
+    keep = ~(1 << a.start)
+    succ = tuple(tuple(m & keep for m in row) for row in a.succ)
+    return Nfa(a.state_count, a.alphabet, a.start, a.final_mask, succ, (0,) * a.state_count)
+
+
+class TestDfaShape:
+    """``canonical_dfa`` and ``complement_sf`` return complete DFAs as
+    ``Nfa`` values: one successor bit per cell, no lambda edge, and at most
+    one dead state.  The inputs have lambda edges and starts other than 0."""
+
+    @staticmethod
+    def assert_dfa(d: Nfa) -> None:
+        assert all(m and not m & (m - 1) for row in d.succ for m in row)
+        assert d.lam == (0,) * d.state_count
+        assert len(_dead_states(d)) <= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_dfa_inputs)
+    def test_canonical_dfa(self, a):
+        d = canonical_dfa(a)
+        self.assert_dfa(d)
+        assert canonical_dfa(d) == d
+        assert d == set_oracle.as_nfa(set_oracle.canonical_dfa(a))
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_dfa_inputs)
+    def test_complement_sf(self, a):
+        a = _non_returning(a)
+        d = complement_sf(a)
+        self.assert_dfa(d)
+        # The subset construction of the oracle with its finals flipped.
+        want = set_oracle.determinize(a)
+        want = replace(want, finals=frozenset(range(want.state_count)) - want.finals)
+        assert d == set_oracle.as_nfa(want)
+
+
+def test_every_export_resolves():
+    namespace: dict = {}
+    exec("from sfnfa import *", namespace)
+    assert set(sfnfa.__all__) <= set(namespace)
+    assert all(getattr(sfnfa, name) is namespace[name] for name in sfnfa.__all__)
+    assert "Dfa" not in namespace and "minimize" not in namespace

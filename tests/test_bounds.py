@@ -13,7 +13,11 @@ from sfnfa.automata import (
     enumerate_words,
     lambda_nfa,
     make_nfa,
+    pred_rows,
+    reachable_sets,
+    remove_lambda,
     step,
+    trim,
 )
 from sfnfa.bounds import (
     FoolingFamily,
@@ -36,7 +40,7 @@ from sfnfa.errors import (
 )
 from sfnfa.witnesses import Family, WitnessSpec, build
 
-from automata_extras import complement_witness, dfa_to_nfa
+from automata_extras import COMPLEMENT_CORES, complement_witness
 from conftest import random_nfa, random_non_returning_nfa
 from fooling_oracle import (
     bounded_word_fooling_set,
@@ -584,10 +588,22 @@ class TestNscStop:
         assert self.searched(monkeypatch, a, 3) == (None, [])
 
     def test_shortest_word_of_the_empty_language(self):
-        assert bounds._shortest_accepted_length(
-            bounds.canonical_dfa(empty_nfa(alphabet("ab")))) is None
-        assert bounds._shortest_accepted_length(
-            bounds.canonical_dfa(lambda_nfa(alphabet("ab")))) == 0
+        # The search reads a shortest accepted word off the first state set
+        # of reachable_sets on the trimmed input that meets its finals: none
+        # for the empty language, λ for {λ}, and the first enumerated word
+        # otherwise.
+        def shortest(a):
+            t = trim(remove_lambda(a))
+            return next((word for word, states in reachable_sets(t.succ, 1 << t.start)
+                         if states & t.final_mask), None)
+
+        assert shortest(empty_nfa(alphabet("ab"))) is None
+        assert shortest(lambda_nfa(alphabet("ab"))) == ()
+        rng = random.Random(41)
+        for _ in range(40):
+            a = random_nfa(rng, max_states=6, lambda_prob=0.2)
+            words = enumerate_words(a, a.state_count)
+            assert shortest(a) == (words[0] if words else None)
 
     # b a* + a b* with each loop spread over a cycle of 300 final states:
     # 601 rows in its automaton matrix, over the cell cap, 3 live DFA
@@ -597,6 +613,19 @@ class TestNscStop:
                       [(0, "b", 1), (0, "a", 301)]
                       + [(q, "a", q % 300 + 1) for q in range(1, 301)]
                       + [(q, "b", q % 300 + 301) for q in range(301, 601)])
+
+    def test_sample_labels_are_membership(self, monkeypatch):
+        # The trie is labelled by walking the canonical DFA's one-bit
+        # masks; each label must be the membership of the node's word.
+        seen = []
+
+        def recording(k, s, parents, symbols, labels, cap):
+            seen.append((k, labels))
+            return []
+
+        monkeypatch.setattr(_kernel, "filter_tables", recording)
+        assert nsc_exhaustive(self.CYCLES, 2) is None
+        assert seen == [(2, nsc_oracle.sample(self.CYCLES, 2)[2])]
 
     def test_past_the_cell_cap_there_is_no_floor(self, monkeypatch):
         assert self.searched(monkeypatch, self.CYCLES, 2) == (None, [2])
@@ -691,18 +720,19 @@ def _walk(cells, k, target, *, sample_forbids=False, stop_at_sink=False):
     set taken from the sample's rejected words only, or no step taken from
     a pair at the target's dead state."""
     rows = [cells[st * 2:(st + 1) * 2] for st in range(k)]
-    queue = [(1, target.start)]
+    queue = [(1, 1 << target.start)]
     seen = set(queue)
     forbidden = 0
     needs = []
     for states, q in queue:
-        if q in target.finals:
+        if q & target.final_mask:
             needs.append(states)
         else:
             forbidden |= states
-        if stop_at_sink and q == target.sink:
+        row = target.succ[q.bit_length() - 1]
+        if stop_at_sink and row == (q, q) and not q & target.final_mask:
             continue
-        for x, r in enumerate(target.table[q]):
+        for x, r in enumerate(row):
             pair = (step(rows, states, x), r)
             if pair not in seen:
                 seen.add(pair)
@@ -710,11 +740,11 @@ def _walk(cells, k, target, *, sample_forbids=False, stop_at_sink=False):
     if sample_forbids:
         parents, symbols = bounds._sample_trie(2, 2 * k)
         forbidden = 0
-        state, reach = [target.start], [1]
+        state, reach = [1 << target.start], [1]
         for i in range(1, len(parents)):
-            state.append(target.table[state[parents[i]]][symbols[i]])
+            state.append(step(target.succ, state[parents[i]], symbols[i]))
             reach.append(step(rows, reach[parents[i]], symbols[i]))
-            if state[i] not in target.finals:
+            if not state[i] & target.final_mask:
                 forbidden |= reach[i]
     return all(states & ~forbidden for states in needs)
 
@@ -764,15 +794,32 @@ class TestCoverSearch:
     def test_complement_witnesses_have_an_nfa_one_below_their_dfa(self, m):
         # complement_sf builds 2^(m-1) + 1 states; the fooling floor of
         # 2^(m-1) is met by a cover, so no table is enumerated.
-        d = complement_witness(m)
-        assert d.state_count == 2 ** (m - 1) + 1
-        a = dfa_to_nfa(d)
+        a = complement_witness(m)
+        assert a.state_count == 2 ** (m - 1) + 1
         fs = search_fooling_set(a)
         nfa = search_cover(a, fs)
         assert len(fs) == nfa.state_count == 2 ** (m - 1)
         assert set_oracle.canonical_dfa(nfa) == set_oracle.canonical_dfa(a)
         with mock.patch.object(_kernel, "filter_tables", side_effect=AssertionError):
             assert nsc_exhaustive(a, 40) == 2 ** (m - 1)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_subset_pairs_fool_the_complement(self, m):
+        # The complement of c·K from complement_sf, checked as it is: each
+        # core subset S that a word x_S reaches pairs c·x_S with a word
+        # accepted from exactly the core states outside S.  "cc" reaches
+        # the empty set, and "c" is accepted from no core state.
+        states, finals, edges = COMPLEMENT_CORES[m]
+        core = make_nfa(states, "ab", 0, finals, edges)
+        text, full = core.alphabet.text, (1 << states) - 1
+        accepted_from = {sub: text(w[::-1])
+                         for w, sub in reachable_sets(pred_rows(core), core.final_mask)}
+        accepted_from[0] = "c"
+        fs = FoolingSet((("cc", accepted_from[full]), *[
+            ("c" + text(w), accepted_from[full & ~sub]) for w, sub in reachable_sets(core.succ, 1)
+        ]))
+        assert len(fs) == 2 ** (m - 1)
+        assert verify_fooling_set(complement_witness(m), fs)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.booleans())
@@ -803,12 +850,12 @@ class TestCoverSearch:
         assert nsc_without_stop(a, 3) is None
 
     def test_fewer_pairs_than_the_minimum_give_no_cover(self):
-        a = dfa_to_nfa(complement_witness(4))
+        a = complement_witness(4)
         assert search_cover(a, search_fooling_set(a, limit=7)) is None
         assert search_cover(a, FoolingSet(())) is None
 
     def test_past_the_node_budget_there_is_no_answer(self, monkeypatch):
-        a = dfa_to_nfa(complement_witness(4))
+        a = complement_witness(4)
         fs = search_fooling_set(a)
         monkeypatch.setattr(bounds, "_COVER_NODES", 8)
         assert search_cover(a, fs) is None

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfnfa.automata import Dfa, make_nfa, remove_lambda
+from sfnfa.automata import make_nfa, remove_lambda
 from sfnfa.constructions import complement_sf
 from sfnfa.errors import ParseError
 from sfnfa.serialize import dump, from_json, load, to_document, to_dot, to_json
@@ -25,11 +25,7 @@ def test_document_key_order_and_sorting():
 def sorted_triples(a):
     """Every transition as (src, label, dst), sorted as a list of triples."""
     labels = a.alphabet.labels
-    if isinstance(a, Dfa):
-        triples = [(q, labels[x], r) for q, row in enumerate(a.table) for x, r in enumerate(row)]
-    else:
-        triples = [(q, "~" if x is None else labels[x], r) for q, x, r in a.transitions]
-    return sorted(triples)
+    return sorted((q, "~" if x is None else labels[x], r) for q, x, r in a.transitions)
 
 
 @settings(max_examples=150, deadline=None)
@@ -77,8 +73,8 @@ def test_lambda_label_cannot_be_a_symbol():
 def test_dfa_serializes_through_nfa_schema():
     d = complement_sf(build(WitnessSpec(Family.LEMMA_L1, 3)))
     doc = to_document(d)
-    parsed = from_json(json.dumps(doc))
-    assert parsed.state_count == d.state_count
+    assert len(doc["transitions"]) == d.state_count * d.alphabet.size
+    assert from_json(json.dumps(doc)) == d
 
 
 def test_file_round_trip(tmp_path):
