@@ -13,14 +13,16 @@ can be processed.
 
 from __future__ import annotations
 
-from itertools import product
+from heapq import merge
+from itertools import islice, product
 
 IMPL = "pure"
 
 
 def filter_tables(num_states, num_symbols, parents, symbols, accepts, cap=200000):
     """Return ``[(cells, finals_mask), ...]`` for every sample-consistent
-    transition table, in ascending table-encoding order, at most ``cap``.
+    transition table, in ascending table-encoding order: the first ``cap``
+    of them, and no table past those is built.
 
     ``parents``/``symbols``/``accepts`` describe the word trie in BFS order
     with the root (the empty word) at index 0.
@@ -171,14 +173,25 @@ def filter_tables(num_states, num_symbols, parents, symbols, accepts, cap=200000
     else:
         settle(kids[0][:], [0] * (k * s), 0, 1, 1, 0)
 
-    out = []
-    for partial, finals in found:
-        free = [j for j, c in enumerate(partial) if c < 0]
+    def expand(partial, finals):
+        # Every value of each unassigned cell, the most significant (last)
+        # cell slowest, so the tables come out in ascending encoding order.
+        free = [j for j, c in enumerate(partial) if c < 0][::-1]
         table = list(partial)
         for values in product(range(nvals), repeat=len(free)):
             for j, v in zip(free, values):
                 table[j] = v
-            out.append((tuple(table), finals))
-    # Reversed cells compare like encodings: the last cell is most significant.
-    out.sort(key=lambda survivor: survivor[0][::-1])
-    return out[:cap]
+            yield tuple(table), finals
+
+    # Two leaves differ in an assigned cell, so their tables are disjoint:
+    # the leaves with no unassigned cell, one table each, are sorted into
+    # one merge input (a dense sample leaves about 150,000 of them, too
+    # many to merge one by one), each other leaf's expansions are another,
+    # and the merge stops after ``cap`` tables.  Reversed cells compare like
+    # encodings: the last cell is most significant.
+    def key(survivor):
+        return survivor[0][::-1]
+
+    whole = sorted((leaf for leaf in found if -1 not in leaf[0]), key=key)
+    expanded = [expand(*leaf) for leaf in found if -1 in leaf[0]]
+    return list(islice(merge(whole, *expanded, key=key), cap))

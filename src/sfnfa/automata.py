@@ -323,16 +323,29 @@ def _subset_walk(rows, start: int) -> tuple[list[list[int]], list[int]]:
     return table, order
 
 
-def _minimal(alpha: Alphabet, table, final: list[bool]) -> Nfa:
-    """The minimal DFA of the complete table ``table`` (lists of successor
-    indices, start 0) with final flags ``final``, in canonical numbering,
-    as an ``Nfa`` with one successor bit per cell.
+def _subset_dfa(a: Nfa) -> tuple[list[list[int]], list[bool]]:
+    """The subset DFA of ``a`` as a complete table (lists of successor
+    indices, start 0) and its final flags.  With lambda edges the subset
+    walk runs on lambda-closed sets: each successor mask is closed, so a
+    closed set steps to the closure of its successors, and no lambda-free
+    automaton is built."""
+    rows, start = a.succ, 1 << a.start
+    if a.has_lambda:
+        rows = [[_reach(a.lam, m) for m in row] for row in a.succ]
+        start = _reach(a.lam, start)
+    table, order = _subset_walk(rows, start)
+    return table, [bool(sub & a.final_mask) for sub in order]
+
+
+def _moore(table, final: list[bool]) -> list[int]:
+    """The Myhill-Nerode blocks of the complete table ``table`` with final
+    flags ``final``: one dense block id per state, so that two states share
+    a block iff they accept the same language.
 
     Moore refinement keys each state by its block and its successors'
     blocks, and stops at the first round that splits no block, or once
-    every state has a block of its own.  The blocks are then numbered
-    breadth-first from the start's block in symbol order, which visits
-    only the reachable ones."""
+    every state has a block of its own.  Every state of a subset table is
+    reachable, so the block count is the size of the minimal DFA."""
     first: dict[bool, int] = {}
     block = [first.setdefault(f, len(first)) for f in final]
     count = len(first)
@@ -349,6 +362,15 @@ def _minimal(alpha: Alphabet, table, final: list[bool]) -> Nfa:
         if len(sig) == count:
             break
         count = len(sig)
+    return block
+
+
+def _minimal(alpha: Alphabet, table, final: list[bool], block: list[int]) -> Nfa:
+    """The minimal DFA of the complete table ``table`` (start 0) with final
+    flags ``final`` and Moore blocks ``block``, in canonical numbering, as
+    an ``Nfa`` with one successor bit per cell.  The blocks are numbered
+    breadth-first from the start's block in symbol order."""
+    count = max(block) + 1
     rep = [-1] * count
     for q, b in enumerate(block):
         if rep[b] < 0:
@@ -374,16 +396,11 @@ def _minimal(alpha: Alphabet, table, final: list[bool]) -> Nfa:
 def canonical_dfa(a: Nfa) -> Nfa:
     """Minimal canonical DFA of an NFA's language: a complete, lambda-free
     ``Nfa`` whose every successor mask holds one bit, so that two of them
-    are equal iff their languages are.  With lambda edges the
-    subset walk runs on lambda-closed sets: each successor mask is closed,
-    so a closed set steps to the closure of its successors, and no
-    lambda-free automaton is built."""
-    rows, start = a.succ, 1 << a.start
-    if a.has_lambda:
-        rows = [[_reach(a.lam, m) for m in row] for row in a.succ]
-        start = _reach(a.lam, start)
-    table, order = _subset_walk(rows, start)
-    return _minimal(a.alphabet, table, [bool(sub & a.final_mask) for sub in order])
+    are equal iff their languages are.  It is built in three stages: the
+    subset table (``_subset_dfa``), its Moore blocks (``_moore``) and the
+    numbered minimal DFA (``_minimal``)."""
+    table, final = _subset_dfa(a)
+    return _minimal(a.alphabet, table, final, _moore(table, final))
 
 
 def equivalent(a: Nfa, b: Nfa) -> bool:

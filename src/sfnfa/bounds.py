@@ -12,6 +12,9 @@ from itertools import islice
 from . import _kernel
 from .automata import (
     Nfa,
+    _minimal,
+    _moore,
+    _subset_dfa,
     accepts,  # no longer called here; the benchmark's tracer wraps it at this name
     alphabet,
     bits,
@@ -326,7 +329,9 @@ def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
     to a grid q on x when every row of p has a non-empty x-successor and
     each is a row of q (the intersection rule).  The NFA is kept only if
     its canonical DFA equals a's, so whatever cover is tried, the answer is
-    exact: an NFA of len(fs) states meets the bound of len(fs) pairs.
+    exact: an NFA of len(fs) states meets the bound of len(fs) pairs.  The
+    canonical DFA of a is built at the first full cover, so a search whose
+    cuts end it before any leaf builds none.
     """
     if not fs.pairs:
         return None
@@ -390,7 +395,7 @@ def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
         for mask, _, _ in options[d]:
             reach[d] |= mask
     full = (1 << len(cells)) - 1
-    target = canonical_dfa(t)
+    target = None  # canonical_dfa(t), built at the first full cover
     chosen: list[tuple[int, int, int]] = []
 
     def build() -> Nfa:
@@ -409,9 +414,12 @@ def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
         return Nfa(len(chosen), t.alphabet, start, final_mask, tuple(succ), (0,) * len(chosen))
 
     def cover(d: int, covered: int, has_start: int) -> Nfa | None:
+        nonlocal target
         if spent() or covered | reach[d] != full:
             return None
         if d == len(options):
+            if target is None:
+                target = canonical_dfa(t)
             nfa = build()
             return nfa if canonical_dfa(nfa) == target else None
         for grid in options[d]:
@@ -507,20 +515,42 @@ def _fooling_floor(a: Nfa, known: int, max_states: int) -> FoolingSet | None:
     return fs
 
 
+def _live_blocks(table, final: list[bool], block: list[int]) -> int:
+    """The live states of the minimal DFA of a subset table with Moore
+    blocks ``block``: the block count, less one for the dead block, a
+    non-final block whose row stays in the block on every symbol, but at
+    least 1.  The blocks are stable, so any state of a block shows it."""
+    count = max(block) + 1
+    for b, f, row in zip(block, final, table):
+        if not f:
+            for r in row:
+                if block[r] != b:
+                    break
+            else:
+                return max(count - 1, 1)
+    return count
+
+
 def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     """Least k <= max_states with a k-state lambda-free NFA with one start
     state for L(a), or None when every such NFA has more states.
 
     The trimmed lambda-free input and the canonical DFA without its dead
     state are such NFAs; the smaller of their sizes, the stop, is the
-    answer unless a smaller size works.  Three floors rule sizes out: every
-    k with 2^k - 1 below the live states of the minimal DFA, since a k-state
-    NFA reaches at most 2^k - 1 non-empty state sets and each live state is
-    the language of one of them (the subset floor, which settles live <= 2
-    at once); every k up to the length of the shortest accepted word; and
-    every k below a verified fooling set, searched once on the trimmed input
-    with a limit of min(stop, max_states + 1) pairs, and none past its cell
-    cap.  When the fooling set is the largest floor and below the stop,
+    answer unless a smaller size works.  The canonical DFA is built in the
+    stages of ``canonical_dfa``: the subset table, its Moore blocks, and
+    the numbering of the blocks into an ``Nfa``.  The first two always run,
+    and the live states are counted on the blocks (``_live_blocks``); the
+    numbering runs only when a size is left to enumerate.  Three floors
+    rule sizes out: every k with 2^k - 1 below the live states of the
+    minimal DFA, since a k-state NFA reaches at most 2^k - 1 non-empty state
+    sets and each live state is the language of one of them (the subset
+    floor, which settles live <= 2 at once, before any automaton is built);
+    every k up to the length of the shortest accepted word, read off the
+    first final set of ``reachable_sets`` on the trimmed input; and every k
+    below a verified fooling set, searched once on the trimmed input with a
+    limit of min(stop, max_states + 1) pairs, and none past its cell cap.
+    When the fooling set is the largest floor and below the stop,
     ``search_cover`` may meet it with an NFA of that size.  The sizes left
     below the stop are enumerated: tables are filtered against all words of
     length <= 2k, labeled by walking the canonical DFA, and each survivor is
@@ -531,13 +561,9 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     from a list that may be truncated.
     """
     sigma = a.alphabet.size
-    target = canonical_dfa(a)
-    # The one dead state, if any: a non-final state looping on every symbol.
-    live = target.state_count
-    for q, row in enumerate(target.succ):
-        if row.count(1 << q) == sigma and not target.final_mask >> q & 1:
-            live = max(live - 1, 1)
-            break
+    table, final = _subset_dfa(a)
+    block = _moore(table, final)
+    live = _live_blocks(table, final, block)
     # The subset floor: every k < live.bit_length() has 2^k - 1 < live.  It
     # is live itself for live <= 2, and the live states are then minimal.
     low = live.bit_length()
@@ -557,8 +583,11 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
             low = len(fs)
             if low < known and low <= max_states and search_cover(trimmed, fs) is not None:
                 return low
+    sizes = range(low, min(known, max_states + 1))
+    if sizes:
+        target = _minimal(a.alphabet, table, final, block)
     ceiling = _default_ceiling(sigma)
-    for k in range(low, min(known, max_states + 1)):
+    for k in sizes:
         if k > ceiling:
             raise BudgetExceeded(
                 f"the table search for k={k} exceeds the ceiling {ceiling} "

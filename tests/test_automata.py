@@ -10,6 +10,9 @@ import sfnfa
 from sfnfa import bounds
 from sfnfa.automata import (
     Nfa,
+    _minimal,
+    _moore,
+    _subset_dfa,
     _subset_walk,
     accepts,
     alphabet,
@@ -584,6 +587,40 @@ class TestDfaShape:
         want = set_oracle.determinize(a)
         want = replace(want, finals=frozenset(range(want.state_count)) - want.finals)
         assert d == set_oracle.as_nfa(want)
+
+
+class TestMoorePartition:
+    """The three stages of ``canonical_dfa``: the subset table, its Moore
+    blocks and the numbered minimal DFA.  The blocks alone give the size of
+    the canonical DFA and, by the dead-block rule, its live states; the
+    inputs have lambda edges and starts other than 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_dfa_inputs)
+    def test_blocks_are_the_states_of_the_canonical_dfa(self, a):
+        table, final = _subset_dfa(a)
+        block = _moore(table, final)
+        d = canonical_dfa(a)
+        assert max(block) + 1 == d.state_count == len(set(block))
+        assert bounds._live_blocks(table, final, block) == max(
+            d.state_count - len(_dead_states(d)), 1)
+        assert _minimal(a.alphabet, table, final, block) == d
+        assert d == set_oracle.as_nfa(set_oracle.canonical_dfa(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_dfa_inputs)
+    def test_blocks_are_the_languages_of_the_subsets(self, a):
+        # Two subsets share a block iff the table started at each accepts
+        # the same language, by the oracle's canonical DFA.
+        table, final = _subset_dfa(a)
+        block = _moore(table, final)
+        n = len(table)
+        succ = tuple(tuple(1 << r for r in row) for row in table)
+        final_mask = sum(f << q for q, f in enumerate(final))
+        language = [set_oracle.canonical_dfa(Nfa(n, a.alphabet, q, final_mask, succ, (0,) * n))
+                    for q in range(n)]
+        assert all((block[p] == block[q]) == (language[p] == language[q])
+                   for p in range(n) for q in range(p))
 
 
 def test_every_export_resolves():

@@ -682,6 +682,56 @@ class TestNscStop:
         assert seen == [bounds._SURVIVOR_CAP]
 
 
+class TestNscStages:
+    """``nsc_exhaustive`` reads the live states off the Moore blocks of the
+    subset table and numbers the blocks into the canonical DFA only when a
+    size is left to enumerate; ``search_cover`` builds the input's canonical
+    DFA at the first full cover it checks."""
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("an automaton was built")
+
+    @pytest.mark.parametrize("a, want", [
+        (empty_nfa(alphabet("ab")), 1),
+        (lambda_nfa(alphabet("ab")), 1),
+        (make_nfa(1, "ab", 0, [0], [(0, "a", 0)]), 1),
+        # b a* on three trim states, so the answer is not the input's size.
+        (make_nfa(3, "ab", 0, [1, 2], [(0, "b", 1), (1, "a", 2), (2, "a", 2)]), 2),
+        (build(WitnessSpec(Family.LEMMA_L1, 2)), 2),
+    ], ids=["empty", "lambda", "a-star", "b-a-star", "lemma-l1-m2"])
+    def test_subset_floor_builds_no_automaton(self, monkeypatch, a, want):
+        for name in ("_minimal", "canonical_dfa", "trim"):
+            monkeypatch.setattr(bounds, name, self.refuse)
+        assert nsc_exhaustive(a, 3) == want
+
+    def test_bounds_that_meet_the_stop_number_no_blocks(self, monkeypatch):
+        # b (aa)*: the 3-pair fooling floor meets the 3 live states, and
+        # the complement witness at m=3 is met by a cover of 4 grids.
+        monkeypatch.setattr(bounds, "_minimal", self.refuse)
+        assert nsc_exhaustive(build(WitnessSpec(Family.LEMMA_L1, 3)), 3) == 3
+        assert nsc_exhaustive(complement_witness(3), 40) == 4
+
+    def test_a_size_left_to_enumerate_numbers_the_blocks_once(self, monkeypatch):
+        calls = []
+        real = bounds._minimal
+        monkeypatch.setattr(bounds, "_minimal", lambda *args: calls.append(1) or real(*args))
+        assert nsc_exhaustive(TestNscStop.CYCLES, 2) is None
+        assert calls == [1]
+
+    def test_a_cover_search_cut_before_any_leaf_builds_no_canonical_dfa(self, monkeypatch):
+        calls = []
+        real = bounds.canonical_dfa
+        monkeypatch.setattr(bounds, "canonical_dfa", lambda a: calls.append(a) or real(a))
+        a = complement_witness(4)
+        # 7 pairs, one fewer than the minimum: the grids through them
+        # cannot cover every cell, so the reach cut ends the search at once.
+        assert search_cover(a, search_fooling_set(a, limit=7)) is None
+        assert calls == []
+        assert search_cover(a, search_fooling_set(a)).state_count == 8
+        assert len(calls) >= 2
+
+
 def _all_but_length(length: int):
     """Every binary word except those of the given length: a counter of
     the length read so far, which stays at length + 1 once past it."""

@@ -405,7 +405,8 @@ def test_certificate_checks_run_under_optimize():
     fooling-set verifier must reject the mutated paper sets there too, and
     the survivor walk and the suffix-overlap walk must agree with their
     oracles there, the cover search must still drop a cover whose NFA
-    fails its equivalence check, and ``Nfa`` must still refuse bad masks."""
+    fails its equivalence check, ``Nfa`` must still refuse bad masks, and
+    the Moore blocks must still agree with the canonical DFA."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -417,7 +418,8 @@ def test_certificate_checks_run_under_optimize():
          "tests/test_bounds.py::TestCoverSearch",
          "tests/test_suffix_free.py::TestWalkAgainstSetOracle",
          "tests/test_automata.py::TestNfaValidation",
-         "tests/test_automata.py::TestDfaShape"],
+         "tests/test_automata.py::TestDfaShape",
+         "tests/test_automata.py::TestMoorePartition"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr

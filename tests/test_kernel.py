@@ -4,6 +4,7 @@ survivor list for survivor list, order included."""
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sfnfa import _kernel
 from sfnfa._kernel import filter_tables
 from sfnfa.automata import alphabet, empty_nfa, lambda_nfa, make_nfa
 from sfnfa.bounds import _sample_trie
@@ -47,6 +48,30 @@ def test_empty_language_keeps_every_table():
 def test_cap_keeps_the_least_encodings():
     args = (2, 2) + sample(empty_nfa(alphabet("ab")), 2)
     assert filter_tables(*args, cap=10) == numpy_filter.filter_tables(*args, cap=10)
+
+
+def test_cap_stops_the_expansion_of_a_rejected_only_k3_trie(monkeypatch):
+    # Nothing is accepted on the k=3 binary trie of depth 6, so all 262,144
+    # tables survive, nearly all of them as values of cells left unassigned
+    # at a leaf.  Each cap keeps the least encodings, and a small one builds
+    # about one table per leaf, not all of them.
+    args = (3, 2) + sample(empty_nfa(alphabet("ab")), 3)
+    want = numpy_filter.filter_tables(*args)
+    assert filter_tables(*args) == want and len(want) == 200000
+    built = 0
+    real = _kernel.product
+
+    def counting(*its, **kw):
+        nonlocal built
+        for values in real(*its, **kw):
+            built += 1
+            yield values
+
+    monkeypatch.setattr(_kernel, "product", counting)
+    for cap in (1, 10):
+        built = 0
+        assert filter_tables(*args, cap=cap) == want[:cap]
+        assert built < 2000
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
