@@ -365,6 +365,22 @@ def _moore(table, final: list[bool]) -> list[int]:
     return block
 
 
+def _live_blocks(table, final: list[bool], block: list[int]) -> int:
+    """The live states of the minimal DFA of a subset table with Moore
+    blocks ``block``: the block count, less one for the dead block, a
+    non-final block whose row stays in the block on every symbol, but at
+    least 1.  The blocks are stable, so any state of a block shows it."""
+    count = max(block) + 1
+    for b, f, row in zip(block, final, table):
+        if not f:
+            for r in row:
+                if block[r] != b:
+                    break
+            else:
+                return max(count - 1, 1)
+    return count
+
+
 def _minimal(alpha: Alphabet, table, final: list[bool], block: list[int]) -> Nfa:
     """The minimal DFA of the complete table ``table`` (start 0) with final
     flags ``final`` and Moore blocks ``block``, in canonical numbering, as

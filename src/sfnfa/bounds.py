@@ -12,6 +12,7 @@ from itertools import islice
 from . import _kernel
 from .automata import (
     Nfa,
+    _live_blocks,
     _minimal,
     _moore,
     _subset_dfa,
@@ -329,9 +330,7 @@ def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
     to a grid q on x when every row of p has a non-empty x-successor and
     each is a row of q (the intersection rule).  The NFA is kept only if
     its canonical DFA equals a's, so whatever cover is tried, the answer is
-    exact: an NFA of len(fs) states meets the bound of len(fs) pairs.  The
-    canonical DFA of a is built at the first full cover, so a search whose
-    cuts end it before any leaf builds none.
+    exact: an NFA of len(fs) states meets the bound of len(fs) pairs.
     """
     if not fs.pairs:
         return None
@@ -395,7 +394,7 @@ def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
         for mask, _, _ in options[d]:
             reach[d] |= mask
     full = (1 << len(cells)) - 1
-    target = None  # canonical_dfa(t), built at the first full cover
+    target = canonical_dfa(t)
     chosen: list[tuple[int, int, int]] = []
 
     def build() -> Nfa:
@@ -414,12 +413,9 @@ def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
         return Nfa(len(chosen), t.alphabet, start, final_mask, tuple(succ), (0,) * len(chosen))
 
     def cover(d: int, covered: int, has_start: int) -> Nfa | None:
-        nonlocal target
         if spent() or covered | reach[d] != full:
             return None
         if d == len(options):
-            if target is None:
-                target = canonical_dfa(t)
             nfa = build()
             return nfa if canonical_dfa(nfa) == target else None
         for grid in options[d]:
@@ -513,22 +509,6 @@ def _fooling_floor(a: Nfa, known: int, max_states: int) -> FoolingSet | None:
             f"a fooling set of {len(fs)} pairs exceeds an NFA of {known} states"
         )
     return fs
-
-
-def _live_blocks(table, final: list[bool], block: list[int]) -> int:
-    """The live states of the minimal DFA of a subset table with Moore
-    blocks ``block``: the block count, less one for the dead block, a
-    non-final block whose row stays in the block on every symbol, but at
-    least 1.  The blocks are stable, so any state of a block shows it."""
-    count = max(block) + 1
-    for b, f, row in zip(block, final, table):
-        if not f:
-            for r in row:
-                if block[r] != b:
-                    break
-            else:
-                return max(count - 1, 1)
-    return count
 
 
 def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:

@@ -10,6 +10,7 @@ import sfnfa
 from sfnfa import bounds
 from sfnfa.automata import (
     Nfa,
+    _live_blocks,
     _minimal,
     _moore,
     _subset_dfa,
@@ -602,7 +603,7 @@ class TestMoorePartition:
         block = _moore(table, final)
         d = canonical_dfa(a)
         assert max(block) + 1 == d.state_count == len(set(block))
-        assert bounds._live_blocks(table, final, block) == max(
+        assert _live_blocks(table, final, block) == max(
             d.state_count - len(_dead_states(d)), 1)
         assert _minimal(a.alphabet, table, final, block) == d
         assert d == set_oracle.as_nfa(set_oracle.canonical_dfa(a))

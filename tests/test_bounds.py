@@ -685,8 +685,7 @@ class TestNscStop:
 class TestNscStages:
     """``nsc_exhaustive`` reads the live states off the Moore blocks of the
     subset table and numbers the blocks into the canonical DFA only when a
-    size is left to enumerate; ``search_cover`` builds the input's canonical
-    DFA at the first full cover it checks."""
+    size is left to enumerate."""
 
     @staticmethod
     def refuse(*args):
@@ -718,18 +717,6 @@ class TestNscStages:
         monkeypatch.setattr(bounds, "_minimal", lambda *args: calls.append(1) or real(*args))
         assert nsc_exhaustive(TestNscStop.CYCLES, 2) is None
         assert calls == [1]
-
-    def test_a_cover_search_cut_before_any_leaf_builds_no_canonical_dfa(self, monkeypatch):
-        calls = []
-        real = bounds.canonical_dfa
-        monkeypatch.setattr(bounds, "canonical_dfa", lambda a: calls.append(a) or real(a))
-        a = complement_witness(4)
-        # 7 pairs, one fewer than the minimum: the grids through them
-        # cannot cover every cell, so the reach cut ends the search at once.
-        assert search_cover(a, search_fooling_set(a, limit=7)) is None
-        assert calls == []
-        assert search_cover(a, search_fooling_set(a)).state_count == 8
-        assert len(calls) >= 2
 
 
 def _all_but_length(length: int):
