@@ -20,6 +20,7 @@ from .automata import (
     alphabet,
     bits,
     canonical_dfa,
+    gather,
     lambda_nfa,
     pred_rows,
     reachable_sets,
@@ -121,11 +122,8 @@ def verify_fooling_set(a: Nfa, p: FoolingSet) -> bool:
             b_at[low.bit_length() - 1] |= bit
             b ^= low
         bit <<= 1
-    # at[q] = (f_at[q], b_at[q]), so step(at, mask, 1) is the union of b_at
-    # over mask and step(at, mask, 0) that of f_at.
-    at = list(zip(f_at, b_at))
     return all(
-        step(at, f, 1) & step(at, b, 0) == 1 << i for i, (f, b) in enumerate(masks)
+        gather(b_at, f) & gather(f_at, b) == 1 << i for i, (f, b) in enumerate(masks)
     )
 
 
@@ -207,9 +205,7 @@ def _automaton_matrix(t: Nfa):
                   for j, (_, c) in enumerate(cols) if r & c]
     ) > _CELL_CAP:
         raise SearchBudgetExceeded(
-            f"the automaton matrix has more than {_CELL_CAP} cells, the search cap",
-            best_size=1,
-        )
+            f"the automaton matrix has more than {_CELL_CAP} cells, the search cap")
     in_row = [0] * len(rows)
     in_col = [0] * len(cols)
     for v, (i, j) in enumerate(cells):
@@ -705,12 +701,13 @@ def certify(op: Operation, m: int, n: int | None = None, seed: int = 0) -> Compl
         n = None
     elif n is None:
         raise ParameterOutOfRange(f"{op.value} requires n")
-    formula = spec.formula(m, n)
     if spec.lambda_at_m1 and m == 1:
         operands = (lambda_nfa(alphabet("ab")),)
     else:
         built = build(WitnessSpec(spec.witness, m, n))
         operands = built if spec.binary else (built,)
+    # After the build, which refuses an m or n whose formula could be huge.
+    formula = spec.formula(m, n)
     result = spec.construct(*operands, strict=False)
     fs = None
     if isinstance(spec.lower, FoolingFamily):

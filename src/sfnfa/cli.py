@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 negative verdict (``check`` on a language that is
-not suffix-free), 2 parse or usage error (also an output file that
-cannot be written), 3 precondition violation, 4 unexpected
-certification failure (also a failed theorem check inside ``op`` or
-``check``).  Output files are written atomically.
+not suffix-free, ``verify-fooling-set`` on a set that does not fool), 2
+usage error (also an output file that cannot be written), and for a
+package error the code ``_EXIT_CODES`` gives its type: 2 parse error or a
+parameter or budget refused, 3 precondition violation, 4 certification
+failure.  Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -33,18 +34,21 @@ from .errors import (
     ParseError,
     PreconditionViolation,
     SearchBudgetExceeded,
+    SfnfaError,
     SuffixFreeViolation,
 )
 from .suffixfree import is_non_returning, is_suffix_free
-from .witnesses import Family, WitnessSpec, layout
+from .witnesses import Family, WitnessSpec, build
 
-
-def _load(path):
-    try:
-        return serialize.load(path)
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+# The exit code of each package error, matched with isinstance in order.
+_EXIT_CODES = {
+    ParseError: 2,
+    ParameterOutOfRange: 2,
+    BudgetExceeded: 2,
+    SearchBudgetExceeded: 2,
+    PreconditionViolation: 3,
+    CertificateError: 4,
+}
 
 
 def _write(path, text):
@@ -57,31 +61,36 @@ def _write(path, text):
         sys.exit(2)
 
 
-def _fail_certificate(exc):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(4)
-
-
 def _pair_text(alpha, pair):
     shorter, longer = pair
     return f"({alpha.text(shorter) or 'λ'}, {alpha.text(longer)})"
 
 
-def _fail_precondition(exc, alpha):
-    """Exit 3; witnesses print in labels (the operands share ``alpha``)."""
+def _message(exc):
+    """The text of a package error; a precondition witness prints in labels."""
     if isinstance(exc, NonReturningViolation):
         src, sym, dst = exc.transition
-        msg = ("non-returning precondition violated "
-               f"(witness transition ({src}, {alpha.labels[sym]}, {dst}))")
-    elif isinstance(exc, SuffixFreeViolation):
-        msg = f"suffix-free precondition violated (witness pair {_pair_text(alpha, exc.witness)})"
-    else:
-        msg = str(exc)
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(3)
+        return ("non-returning precondition violated "
+                f"(witness transition ({src}, {exc.alphabet.labels[sym]}, {dst}))")
+    if isinstance(exc, SuffixFreeViolation):
+        return ("suffix-free precondition violated "
+                f"(witness pair {_pair_text(exc.alphabet, exc.witness)})")
+    return str(exc)
 
 
-@click.group()
+class _Cli(click.Group):
+    """Runs a command and turns a package error into ``error: <message>``
+    on stderr and the exit code ``_EXIT_CODES`` gives its type."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SfnfaError as exc:
+            click.echo(f"error: {_message(exc)}", err=True)
+            sys.exit(next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)))
+
+
+@click.group(cls=_Cli)
 def main():
     """State-optimal NFA operations on suffix-free regular languages."""
 
@@ -91,11 +100,8 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON verdict")
 def check(automaton, as_json):
     """Report suffix-freeness and the non-returning flag of an automaton."""
-    nfa = remove_lambda(_load(automaton))
-    try:
-        verdict = is_suffix_free(nfa)
-    except CertificateError as exc:
-        _fail_certificate(exc)
+    nfa = remove_lambda(serialize.load(automaton))
+    verdict = is_suffix_free(nfa)
     non_ret = is_non_returning(nfa)
     if as_json:
         witness = None
@@ -137,13 +143,7 @@ def op(name, inputs, output, dot_path, strict):
     if len(inputs) != arity:
         click.echo(f"error: {name} takes {arity} input file(s)", err=True)
         sys.exit(2)
-    automata = [_load(p) for p in inputs]
-    try:
-        result = spec.construct(*automata, strict=strict)
-    except PreconditionViolation as exc:
-        _fail_precondition(exc, automata[0].alphabet)
-    except CertificateError as exc:
-        _fail_certificate(exc)
+    result = spec.construct(*map(serialize.load, inputs), strict=strict)
     _write(output, serialize.to_json(result) + "\n")
     if dot_path:
         _write(dot_path, serialize.to_dot(result))
@@ -158,19 +158,11 @@ def op(name, inputs, output, dot_path, strict):
 def witness(family, m, n, output):
     """Emit a witness automaton (pair families emit a JSON array).  A
     witness too large to load back is refused with exit 2."""
-    try:
-        spec = WitnessSpec(Family(family), m, n)
-        # Each family has m (and n) states over at least one symbol, so this
-        # refuses an m beyond the load limits before transitions are built.
-        serialize.check_limits(max(m, n or 0), 1)
-        shapes = layout(spec)
-        for states, alpha, _, _, transitions in shapes:
-            serialize.check_limits(states, alpha.size, transitions)
-    except (ParameterOutOfRange, ParseError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    docs = [serialize.to_document(Nfa.from_edges(*args)) for args in shapes]
-    text = json.dumps(docs if spec.family.is_pair else docs[0])
+    built = build(WitnessSpec(Family(family), m, n))
+    if isinstance(built, Nfa):
+        text = serialize.to_json(built)
+    else:
+        text = json.dumps([serialize.to_document(a) for a in built])
     if output:
         _write(output, text + "\n")
     else:
@@ -182,7 +174,7 @@ def witness(family, m, n, output):
 @click.argument("pairs_file", type=click.Path())
 def verify_fooling_set_cmd(automaton, pairs_file):
     """Verify a fooling-set certificate ([["x","w"], ...], "" for λ)."""
-    nfa = _load(automaton)
+    nfa = serialize.load(automaton)
     try:
         with open(pairs_file, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -194,8 +186,7 @@ def verify_fooling_set_cmd(automaton, pairs_file):
                 raise TypeError(f"pair entry {text!r} is not a string")
             nfa.alphabet.word(text)
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-        click.echo(f"error: bad pairs file: {exc}", err=True)
-        sys.exit(2)
+        raise ParseError(f"bad pairs file: {exc}") from exc
     ok = verify_fooling_set(nfa, FoolingSet(pairs))
     click.echo(
         f"verified: {'yes' if ok else 'no'}; "
@@ -209,14 +200,7 @@ def verify_fooling_set_cmd(automaton, pairs_file):
 @click.option("--max-states", "max_states", type=click.IntRange(min=1), required=True)
 def nsc(automaton, max_states):
     """Exhaustive minimal-NFA search up to a state ceiling."""
-    nfa = _load(automaton)
-    try:
-        result = nsc_exhaustive(nfa, max_states)
-    except BudgetExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except CertificateError as exc:
-        _fail_certificate(exc)
+    result = nsc_exhaustive(serialize.load(automaton), max_states)
     click.echo("none" if result is None else str(result))
 
 
@@ -229,13 +213,7 @@ def nsc(automaton, max_states):
               help="accepted for compatibility; has no effect")
 def certify_cmd(operation, m, n, as_json, seed):
     """Certify one operation at (m, n): construction vs. lower bound."""
-    try:
-        report = certify(Operation(operation), m, n, seed=seed)
-    except (ParameterOutOfRange, SearchBudgetExceeded) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except CertificateError as exc:
-        _fail_certificate(exc)
+    report = certify(Operation(operation), m, n, seed=seed)
     if as_json:
         click.echo(json.dumps(report.to_dict()))
     else:
@@ -292,13 +270,7 @@ def table(m_range, n_range, fmt, seed):
             if m < low:
                 continue
             for n in n_values:
-                try:
-                    report = certify(operation, m, n, seed=seed)
-                except SearchBudgetExceeded as exc:
-                    click.echo(f"error: {exc}", err=True)
-                    sys.exit(2)
-                except CertificateError as exc:
-                    _fail_certificate(exc)
+                report = certify(operation, m, n, seed=seed)
                 if spec.expects_tight and not report.tight:
                     failed = True
                 rows.append((report, _verdict(report)))
@@ -340,7 +312,7 @@ def table(m_range, n_range, fmt, seed):
 @click.option("--max-len", "max_len", type=click.IntRange(min=0), required=True)
 def enumerate(automaton, max_len):
     """List accepted words up to a length bound (λ prints as ~)."""
-    nfa = _load(automaton)
+    nfa = serialize.load(automaton)
     for word in enumerate_words(nfa, max_len):
         click.echo(nfa.alphabet.text(word) or "~")
 

@@ -45,12 +45,12 @@ def _require(strict: bool, *operands: tuple[str, Nfa, bool]) -> None:
         if transition is not None:
             raise NonReturningViolation(
                 f"{role} automaton has an in-transition to its start state",
-                transition=transition)
+                transition, a.alphabet)
     for role, a, _ in operands if strict else ():
         verdict = is_suffix_free(a)
         if not verdict.suffix_free:
             raise SuffixFreeViolation(f"{role} language is not suffix-free",
-                                      witness=verdict.witness)
+                                      verdict.witness, a.alphabet)
 
 
 def union_sf(a: Nfa, b: Nfa, strict: bool = False) -> Nfa:

@@ -15,19 +15,24 @@ class PreconditionViolation(SfnfaError, ValueError):
 
 class NonReturningViolation(PreconditionViolation):
     """An operation required a non-returning automaton but the start state
-    has in-transitions."""
+    has in-transitions; ``transition`` is one of them as ``(src, symbol,
+    dst)``, its symbol an index into ``alphabet``."""
 
-    def __init__(self, message, transition=None):
+    def __init__(self, message, transition, alphabet):
         super().__init__(message)
         self.transition = transition
+        self.alphabet = alphabet
 
 
 class SuffixFreeViolation(PreconditionViolation):
-    """Strict mode: the input language is not suffix-free."""
+    """Strict mode: the input language is not suffix-free; ``witness`` is a
+    pair of symbol-index words over ``alphabet``, one a proper suffix of the
+    other, both accepted."""
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness, alphabet):
         super().__init__(message)
         self.witness = witness
+        self.alphabet = alphabet
 
 
 class ParameterOutOfRange(SfnfaError):
@@ -36,12 +41,7 @@ class ParameterOutOfRange(SfnfaError):
 
 
 class SearchBudgetExceeded(SfnfaError):
-    """Fooling-set search gave up; ``best_size`` carries the largest set
-    found before the budget ran out."""
-
-    def __init__(self, message, best_size=0):
-        super().__init__(message)
-        self.best_size = best_size
+    """Fooling-set search refused an automaton matrix over its cell cap."""
 
 
 class BudgetExceeded(SfnfaError):

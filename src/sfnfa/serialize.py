@@ -63,15 +63,16 @@ def to_json(a: Nfa) -> str:
     return json.dumps(to_document(a))
 
 
-def check_limits(states: int, alphabet_size: int, transitions=()) -> None:
-    """Raise ParseError when an automaton of this size is beyond what
+def check_limits(states: int, alphabet_size: int, transitions=(), error=ParseError) -> None:
+    """Raise ``error`` when an automaton of this size is beyond what
     ``from_document`` loads: more than MAX_CELLS (state, symbol) rows, or
     successor masks of more than MAX_MASK_BITS bits (``dst + 1`` summed over
-    the distinct transitions)."""
+    the distinct transitions, each at most ``states``)."""
     if states * max(alphabet_size, 1) > MAX_CELLS:
-        raise ParseError(f"states × alphabet size must be at most {MAX_CELLS}")
-    if sum(dst + 1 for _, _, dst in transitions if 0 <= dst < states) > MAX_MASK_BITS:
-        raise ParseError(f"the successor masks would exceed {MAX_MASK_BITS} bits")
+        raise error(f"states × alphabet size must be at most {MAX_CELLS}")
+    if len(transitions) * states > MAX_MASK_BITS and sum(
+            dst + 1 for _, _, dst in transitions if 0 <= dst < states) > MAX_MASK_BITS:
+        raise error(f"the successor masks would exceed {MAX_MASK_BITS} bits")
 
 
 def from_document(doc) -> Nfa:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .automata import Alphabet, Nfa, alphabet, bits
 from .errors import ParameterOutOfRange
+from .serialize import check_limits
 
 
 class Family(enum.Enum):
@@ -173,6 +174,14 @@ def layout(spec: WitnessSpec) -> tuple[tuple, ...]:
 
 
 def build(spec: WitnessSpec):
-    """Instantiate a witness family; pair families return a 2-tuple."""
-    made = tuple(Nfa.from_edges(*args) for args in layout(spec))
+    """Instantiate a witness family; pair families return a 2-tuple.  A
+    witness too large to load back raises ``ParameterOutOfRange`` before
+    any successor mask is allocated."""
+    # Each family has m (and n) states over at least one symbol, so this
+    # refuses an m beyond the load limits before its edges are listed.
+    check_limits(max(spec.m, spec.n or 0), 1, error=ParameterOutOfRange)
+    shapes = layout(spec)
+    for states, alpha, _, _, transitions in shapes:
+        check_limits(states, alpha.size, transitions, error=ParameterOutOfRange)
+    made = tuple(Nfa.from_edges(*args) for args in shapes)
     return made if spec.family.is_pair else made[0]

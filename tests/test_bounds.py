@@ -300,18 +300,16 @@ class TestSearchFoolingSet:
         assert len(search_fooling_set(rev)) == 507
         for m in (508, 1000):
             rev = reverse_nfa(build(WitnessSpec(Family.REVERSAL, m)))
-            with pytest.raises(SearchBudgetExceeded) as exc:
+            with pytest.raises(SearchBudgetExceeded):
                 search_fooling_set(rev)
-            assert exc.value.best_size == 1
 
     def test_rows_over_the_cap_are_refused(self):
         # {b, a^600} has 602 rows; the search refuses it before it pairs
         # rows with columns.
         a = make_nfa(601, "ab", 0, [1, 600],
                      [(0, "b", 1)] + [(q, "a", q + 1) for q in range(600)])
-        with pytest.raises(SearchBudgetExceeded) as exc:
+        with pytest.raises(SearchBudgetExceeded):
             search_fooling_set(a)
-        assert exc.value.best_size == 1
 
     def test_useless_states_do_not_count_against_the_cap(self):
         # {λ} behind a chain of 600 states that reach no final state.

@@ -8,12 +8,23 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import event, given, settings, strategies as st
 
-from sfnfa import bounds, serialize
+from sfnfa import bounds, cli, errors, serialize
+from sfnfa.bounds import Operation
 from sfnfa.cli import main
-from sfnfa.errors import ParseError, SearchBudgetExceeded
+from sfnfa.errors import (
+    BudgetExceeded,
+    CertificateError,
+    NonReturningViolation,
+    ParameterOutOfRange,
+    ParseError,
+    PreconditionViolation,
+    SearchBudgetExceeded,
+    SfnfaError,
+    SuffixFreeViolation,
+)
 from sfnfa.serialize import dump, from_json, to_document, to_json
-from sfnfa.witnesses import Family, WitnessSpec, build
-from sfnfa.automata import make_nfa
+from sfnfa.witnesses import Family, WitnessSpec, build, layout
+from sfnfa.automata import Nfa, alphabet, make_nfa
 
 from automata_extras import complement_witness
 from conftest import random_nfa, random_non_returning_nfa
@@ -236,8 +247,11 @@ class TestWitnessCmd:
         assert serialize.load(out) == build(WitnessSpec(Family.LEMMA_L2, m))
         result = runner.invoke(main, ["witness", "lemma-l2", "--m", str(m + 1), "-o", str(out)])
         assert result.exit_code == 2 and "error: " in result.output
+        spec = WitnessSpec(Family.LEMMA_L2, m + 1)
+        with pytest.raises(ParameterOutOfRange):
+            build(spec)
         with pytest.raises(ParseError):
-            from_json(to_json(build(WitnessSpec(Family.LEMMA_L2, m + 1))))
+            from_json(to_json(Nfa.from_edges(*layout(spec)[0])))
 
 
 class TestVerifyNsc:
@@ -375,7 +389,7 @@ class TestCertifyTable:
     ])
     def test_search_budget_exceeded_exit_2(self, runner, monkeypatch, args):
         def over_budget(*args, **kwargs):
-            raise SearchBudgetExceeded("too many cells", best_size=1)
+            raise SearchBudgetExceeded("too many cells")
 
         monkeypatch.setattr(bounds, "search_fooling_set", over_budget)
         result = runner.invoke(main, args)
@@ -392,6 +406,74 @@ class TestCertifyTable:
         result = runner.invoke(main, args)
         assert result.exit_code == 4
         assert "error: search produced an unverifiable fooling set" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
+# Each package error with the exit code and the stderr line it maps to.
+_ERRORS = [
+    (ParseError("bad document"), 2, "bad document"),
+    (ParameterOutOfRange("m out of range"), 2, "m out of range"),
+    (BudgetExceeded("over the table budget"), 2, "over the table budget"),
+    (SearchBudgetExceeded("too many cells"), 2, "too many cells"),
+    (PreconditionViolation("must be lambda-free"), 3, "must be lambda-free"),
+    (NonReturningViolation("returning", (1, 1, 0), alphabet("ab")), 3,
+     "non-returning precondition violated (witness transition (1, b, 0))"),
+    (SuffixFreeViolation("not suffix-free", ((0,), (1, 0)), alphabet("ab")), 3,
+     "suffix-free precondition violated (witness pair (a, ba))"),
+    (CertificateError("re-check failed"), 4, "re-check failed"),
+]
+# Each command with the library call it makes (module, name).
+_COMMANDS = [
+    (["check", "A"], cli, "is_suffix_free"),
+    (["op", "star", "A", "-o", "OUT"], bounds, "star_sf"),
+    (["witness", "lemma-l1", "--m", "3"], cli, "build"),
+    (["verify-fooling-set", "A", "PAIRS"], cli, "verify_fooling_set"),
+    (["nsc", "A", "--max-states", "3"], cli, "nsc_exhaustive"),
+    (["certify", "star", "--m", "3"], cli, "certify"),
+    (["table", "--m", "2..3"], cli, "certify"),
+    (["enumerate", "A", "--max-len", "2"], cli, "enumerate_words"),
+]
+
+
+class TestExitCodes:
+    def test_every_package_error_has_its_code(self):
+        subclasses = {cls for cls in vars(errors).values()
+                      if isinstance(cls, type) and issubclass(cls, SfnfaError)} - {SfnfaError}
+        assert subclasses == {type(exc) for exc, _, _ in _ERRORS}
+        for exc, code, _ in _ERRORS:
+            assert [c for cls, c in cli._EXIT_CODES.items() if isinstance(exc, cls)][0] == code
+
+    @pytest.mark.parametrize("argv, module, name", _COMMANDS,
+                             ids=[argv[0] for argv, _, _ in _COMMANDS])
+    @pytest.mark.parametrize("exc, code, message", _ERRORS,
+                             ids=[type(exc).__name__ for exc, _, _ in _ERRORS])
+    def test_a_raised_error_exits_with_its_code(self, runner, tmp_path, monkeypatch,
+                                                argv, module, name, exc, code, message):
+        def raise_it(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(module, name, raise_it)
+        paths = {"A": write_witness(tmp_path, WitnessSpec(Family.LEMMA_L1, 3)),
+                 "PAIRS": tmp_path / "pairs.json", "OUT": tmp_path / "out.json"}
+        paths["PAIRS"].write_text(json.dumps([["", "b"]]))
+        result = runner.invoke(main, [str(paths.get(arg, arg)) for arg in argv])
+        assert (result.exit_code, result.stdout) == (code, "")
+        assert result.stderr == f"error: {message}\n"
+        assert isinstance(result.exception, SystemExit)
+        assert not paths["OUT"].exists()
+
+    @pytest.mark.parametrize("args", [
+        ["certify", "star", "--m", "5000000"],
+        ["certify", "complementation", "--m", "100000000000000000000"],
+        ["table", "--m", "2..3", "--n", "99999999999999999999..99999999999999999999"],
+        ["witness", "lemma-l2", "--m", "5000000"],
+    ])
+    def test_an_oversized_witness_exits_2_at_once(self, runner, args):
+        t0 = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - t0 < 1.0
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: states × alphabet size must be at most 1048576\n"
         assert isinstance(result.exception, SystemExit)
 
 
@@ -478,6 +560,18 @@ _file_bytes = st.booleans().flatmap(lambda well_formed: (
         st.text(max_size=20).map(str.encode),
         st.binary(max_size=20),
     )))
+# A pairs file: pairs over the labels of the automata, or malformed ones.
+_pairs_bytes = st.one_of(
+    st.lists(st.lists(st.text("abc", max_size=3), min_size=1, max_size=3), max_size=4),
+    _json_values,
+).map(lambda v: json.dumps(v).encode())
+# Witness parameters are tiny or far past the load limits, never a legal
+# large witness.
+_sizes = st.sampled_from(["1", "2", "3", "4", "100000000000000000000"])
+_m_n = st.tuples(_sizes, st.none() | _sizes).map(
+    lambda t: ["--m", t[0], *(["--n", t[1]] if t[1] else [])])
+_ranges = st.sampled_from(["2..3", "1..2", "3..2", "4", "-1",
+                           "100000000000000000000..100000000000000000000"])
 _commands = st.one_of(
     st.sampled_from([["check", "A"], ["check", "A", "--json"]]),
     st.tuples(
@@ -486,23 +580,34 @@ _commands = st.one_of(
         st.sampled_from([[], ["--strict"], ["--dot", "DOT"]]),
     ).map(lambda parts: parts[0] + ["-o", "OUT"] + parts[1]),
     st.sampled_from(["0", "3", "5"]).map(lambda n: ["enumerate", "A", "--max-len", n]),
+    st.sampled_from(["1", "3", "100000000000000000000"]).map(
+        lambda k: ["nsc", "A", "--max-states", k]),
+    st.just(["verify-fooling-set", "A", "PAIRS"]),
+    st.tuples(st.sampled_from([f.value for f in Family]), _m_n).map(
+        lambda t: ["witness", t[0], *t[1]]),
+    st.tuples(st.sampled_from([o.value for o in Operation]), _m_n, st.booleans()).map(
+        lambda t: ["certify", t[0], *t[1], *(["--json"] if t[2] else [])]),
+    st.tuples(_ranges, st.none() | _ranges, st.sampled_from(["text", "json", "csv"])).map(
+        lambda t: ["table", "--m", t[0], *(["--n", t[1]] if t[1] else []), "--format", t[2]]),
 )
 # Half of the command lines are well-formed; the rest lose a token or gain one.
 _argvs = st.booleans().flatmap(lambda well_formed: _commands if well_formed else st.tuples(
     _commands, st.integers(0, 6), st.booleans(),
-    st.sampled_from(["--json", "--strict", "--bogus", "-o", "--dot", "--max-len", "-1", "x", "",
-                     "nope", "A", "B", "MISSING", "OUT"]),
+    st.sampled_from(["--json", "--strict", "--bogus", "-o", "--dot", "--max-len", "--m", "-1", "x",
+                     "", "nope", "A", "B", "MISSING", "OUT", "PAIRS"]),
 ).map(lambda t: t[0][:t[1]] + [t[3]] + t[0][t[1] + t[2]:]))
 
 
 @settings(max_examples=120, deadline=None)
-@given(_file_bytes, _file_bytes, _argvs)
-def test_fuzzed_inputs_exit_with_documented_codes(first, second, argv):
+@given(_file_bytes, _file_bytes, _pairs_bytes, _argvs)
+def test_fuzzed_inputs_exit_with_documented_codes(first, second, pairs, argv):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"A": Path(tmp, "a.json"), "B": Path(tmp, "b.json"), "OUT": Path(tmp, "out.json"),
-                 "DOT": Path(tmp, "out.dot"), "MISSING": Path(tmp, "missing.json")}
+                 "DOT": Path(tmp, "out.dot"), "MISSING": Path(tmp, "missing.json"),
+                 "PAIRS": Path(tmp, "pairs.json")}
         paths["A"].write_bytes(first)
         paths["B"].write_bytes(second)
+        paths["PAIRS"].write_bytes(pairs)
         args = [str(paths[arg]) if arg in paths else arg for arg in argv]
         runner = CliRunner()
         # A drawn token such as "-o --bogus" names a relative output file.

@@ -405,8 +405,9 @@ def test_certificate_checks_run_under_optimize():
     fooling-set verifier must reject the mutated paper sets there too, and
     the survivor walk and the suffix-overlap walk must agree with their
     oracles there, the cover search must still drop a cover whose NFA
-    fails its equivalence check, ``Nfa`` must still refuse bad masks, and
-    the Moore blocks must still agree with the canonical DFA."""
+    fails its equivalence check, ``Nfa`` must still refuse bad masks, the
+    Moore blocks must still agree with the canonical DFA, and the CLI must
+    still map every package error to its exit code."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -419,7 +420,8 @@ def test_certificate_checks_run_under_optimize():
          "tests/test_suffix_free.py::TestWalkAgainstSetOracle",
          "tests/test_automata.py::TestNfaValidation",
          "tests/test_automata.py::TestDfaShape",
-         "tests/test_automata.py::TestMoorePartition"],
+         "tests/test_automata.py::TestMoorePartition",
+         "tests/test_cli.py::TestExitCodes"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
