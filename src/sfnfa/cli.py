@@ -162,7 +162,7 @@ def witness(family, m, n, output):
     if isinstance(built, Nfa):
         text = serialize.to_json(built)
     else:
-        text = json.dumps([serialize.to_document(a) for a in built])
+        text = "[" + ", ".join(map(serialize.to_json, built)) + "]"
     if output:
         _write(output, text + "\n")
     else:
@@ -261,6 +261,8 @@ def table(m_range, n_range, fmt, seed):
     complementation)."""
     ms = _parse_range(m_range)
     ns = _parse_range(n_range) if n_range else ms
+    # `witnesses.build`'s first check, on the largest m or n, before any certify.
+    serialize.check_limits(max(ms[-1], ns[-1]), 1, error=ParameterOutOfRange)
     rows = []
     failed = False
     for operation, spec in OPERATIONS.items():

@@ -8,6 +8,9 @@ Document shape (keys in exactly this order)::
 ``"~"`` encodes a lambda edge, so it is not allowed as an alphabet label.
 Transitions are sorted by ``(src, symbol-label, dst)`` and finals
 ascending, so emission is byte-deterministic and round-trips exactly.
+``to_json`` writes this text straight from the successor masks, in the
+bytes ``json.dumps`` would give the document; what depends only on the
+alphabet is computed once per alphabet.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from functools import lru_cache
 
-from .automata import Alphabet, Nfa
+from .automata import Alphabet, Nfa, bits
 from .errors import ParseError
 
 LAMBDA_LABEL = "~"
@@ -25,42 +29,36 @@ MAX_CELLS = 1 << 20
 MAX_MASK_BITS = 1 << 31
 
 
-def _transitions(a: Nfa) -> list[list]:
-    """``[src, label, dst]`` for every transition, sorted: by state, then by
-    label with ``"~"`` among the labels, then by destination."""
-    labels = a.alphabet.labels
-    # Index len(labels) of a state's row is its lambda mask.
-    order = sorted(zip((*labels, LAMBDA_LABEL), range(len(labels) + 1)))
-    out = []
-    for src, row in enumerate(a.succ):
-        row = (*row, a.lam[src])
-        for label, x in order:
-            mask = row[x]
-            while mask:
-                low = mask & -mask
-                out.append([src, label, low.bit_length() - 1])
-                mask ^= low
-    return out
-
-
-def _refuse_lambda_label(a: Nfa) -> None:
-    if LAMBDA_LABEL in a.alphabet.labels:
+@lru_cache(maxsize=256)
+def _alphabet_parts(labels: tuple[str, ...]) -> tuple[str, tuple[tuple[int, str, str], ...]]:
+    """The text before the state count, and ``(index, label, JSON label)``
+    for each column of a state's row, ``len(labels)`` being its lambda mask,
+    in the order edges are written: by label, with ``"~"`` among the labels."""
+    if LAMBDA_LABEL in labels:
         raise ValueError(f"alphabet label {LAMBDA_LABEL!r} is reserved for lambda edges")
-
-
-def to_document(a: Nfa) -> dict:
-    _refuse_lambda_label(a)
-    return {
-        "alphabet": list(a.alphabet.labels),
-        "states": a.state_count,
-        "start": a.start,
-        "finals": sorted(a.finals),
-        "transitions": _transitions(a),
-    }
+    quoted = [json.dumps(label) for label in labels]
+    prefix = '{"alphabet": [' + ", ".join(quoted) + '], "states": '
+    columns = zip(range(len(labels) + 1), (*labels, LAMBDA_LABEL),
+                  (*quoted, json.dumps(LAMBDA_LABEL)))
+    return prefix, tuple(sorted(columns, key=lambda column: column[1]))
 
 
 def to_json(a: Nfa) -> str:
-    return json.dumps(to_document(a))
+    """The canonical text, written from the masks: edges ``[src, label, dst]``
+    by state, then by label, then by destination."""
+    prefix, columns = _alphabet_parts(a.alphabet.labels)
+    edges = []
+    for src, row in enumerate(a.succ):
+        row = (*row, a.lam[src])
+        for x, _, quoted in columns:
+            mask = row[x]
+            while mask:
+                low = mask & -mask
+                edges.append(f"[{src}, {quoted}, {low.bit_length() - 1}]")
+                mask ^= low
+    finals = ", ".join(map(str, bits(a.final_mask)))
+    return (f'{prefix}{a.state_count}, "start": {a.start}, "finals": [{finals}], '
+            f'"transitions": [{", ".join(edges)}]}}')
 
 
 def check_limits(states: int, alphabet_size: int, transitions=(), error=ParseError) -> None:
@@ -157,17 +155,21 @@ def write_text_atomic(path, text: str) -> None:
 
 def to_dot(a: Nfa, name: str = "automaton") -> str:
     """Graphviz DOT: double circles for finals, external arrow into start.
-    Lambda edges are labelled λ, so a ``"~"`` label is refused as in
-    ``to_document``; ``"`` and ``\\`` in a label are escaped."""
-    _refuse_lambda_label(a)
+    Edges come in ``to_json``'s order.  Lambda edges are labelled λ, so a
+    ``"~"`` label is refused as in ``to_json``; ``"`` and ``\\`` in a label
+    are escaped."""
+    _, columns = _alphabet_parts(a.alphabet.labels)
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
     finals = a.finals
     for q in range(a.state_count):
         shape = "doublecircle" if q in finals else "circle"
         lines.append(f"  q{q} [shape={shape}, label=\"{q}\"];")
     lines.append(f"  __start -> q{a.start};")
-    for src, sym, dst in _transitions(a):
-        label = "λ" if sym == LAMBDA_LABEL else sym.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  q{src} -> q{dst} [label="{label}"];')
+    drawn = [(x, "λ" if label == LAMBDA_LABEL else label.replace("\\", "\\\\").replace('"', '\\"'))
+             for x, label, _ in columns]
+    for src, row in enumerate(a.succ):
+        row = (*row, a.lam[src])
+        for x, label in drawn:
+            lines.extend(f'  q{src} -> q{dst} [label="{label}"];' for dst in bits(row[x]))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,12 +22,13 @@ from sfnfa.errors import (
     SfnfaError,
     SuffixFreeViolation,
 )
-from sfnfa.serialize import dump, from_json, to_document, to_json
+from sfnfa.serialize import dump, from_json, to_json
 from sfnfa.witnesses import Family, WitnessSpec, build, layout
 from sfnfa.automata import Nfa, alphabet, make_nfa
 
 from automata_extras import complement_witness
 from conftest import random_nfa, random_non_returning_nfa
+from serialize_oracle import to_document
 
 
 @pytest.fixture
@@ -223,6 +224,15 @@ class TestWitnessCmd:
         docs = json.loads(result.output)
         assert len(docs) == 2
         assert docs[0]["states"] == 3 and docs[1]["states"] == 4
+
+    @pytest.mark.parametrize("family", [f for f in Family if f.is_pair], ids=lambda f: f.value)
+    def test_pair_stdout_is_the_documents_json(self, runner, family):
+        for m in range(2, 7):
+            for n in range(2, 7):
+                args = ["witness", family.value, "--m", str(m), "--n", str(n)]
+                result = runner.invoke(main, args)
+                docs = [to_document(a) for a in build(WitnessSpec(family, m, n))]
+                assert (result.exit_code, result.stdout) == (0, json.dumps(docs) + "\n")
 
     def test_out_of_range_exit_2(self, runner):
         assert runner.invoke(main, ["witness", "reversal", "--m", "3"]).exit_code == 2
@@ -466,6 +476,7 @@ class TestExitCodes:
         ["certify", "star", "--m", "5000000"],
         ["certify", "complementation", "--m", "100000000000000000000"],
         ["table", "--m", "2..3", "--n", "99999999999999999999..99999999999999999999"],
+        ["table", "--m", "2..3", "--n", "2..2000000"],
         ["witness", "lemma-l2", "--m", "5000000"],
     ])
     def test_an_oversized_witness_exits_2_at_once(self, runner, args):
@@ -546,9 +557,9 @@ _documents = st.builds(
 )
 # Well-formed automata, so that verdicts and constructions run too.
 _valid_documents = st.builds(
-    lambda seed, labels, returning: to_document(
+    lambda seed, labels, returning: json.loads(to_json(
         (random_nfa if returning else random_non_returning_nfa)(
-            random.Random(seed), max_states=5, labels=labels)),
+            random.Random(seed), max_states=5, labels=labels))),
     st.integers(0, 2**31 - 1), st.sampled_from(["ab", "abc"]), st.booleans(),
 )
 # A file's bytes: half of them an automaton, the rest a malformed document,

@@ -4,19 +4,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfnfa.automata import make_nfa, remove_lambda
+from sfnfa.automata import Alphabet, Nfa, make_nfa, remove_lambda
 from sfnfa.constructions import complement_sf
 from sfnfa.errors import ParseError
-from sfnfa.serialize import dump, from_json, load, to_document, to_dot, to_json
+from sfnfa.serialize import dump, from_json, load, to_dot, to_json
 from sfnfa.witnesses import Family, WitnessSpec, build
 
 from automata_extras import determinize
-from conftest import random_nfa
+from conftest import random_nfa, random_non_returning_nfa
+from serialize_oracle import to_document
 
 
 def test_document_key_order_and_sorting():
     a = make_nfa(3, "ab", 0, [2, 1], [(1, "a", 2), (0, "b", 1), (0, None, 2)])
-    doc = to_document(a)
+    doc = json.loads(to_json(a))
     assert list(doc) == ["alphabet", "states", "start", "finals", "transitions"]
     assert doc["finals"] == [1, 2]
     assert doc["transitions"] == [[0, "b", 1], [0, "~", 2], [1, "a", 2]]
@@ -46,6 +47,50 @@ def test_transitions_match_sorted_triples(seed, labels, lambda_prob, as_dfa):
                      for q, x, r in triples]
 
 
+# Labels that JSON escapes or writes as is, "{" below "~" and "é" above it.
+_LABELS = ["a", "b", '"', "\\", "\x01", "é", "{"]
+
+
+@st.composite
+def _automata(draw):
+    """An automaton with any masks, lambda ones included, over 0-4 labels."""
+    labels = tuple(draw(st.lists(st.sampled_from(_LABELS), unique=True, max_size=4)))
+    n = draw(st.integers(1, 6))
+    mask = st.integers(0, (1 << n) - 1)
+    succ = tuple(tuple(draw(mask) for _ in labels) for _ in range(n))
+    lam = tuple(draw(mask) for _ in range(n))
+    return Nfa(n, Alphabet(labels), draw(st.integers(0, n - 1)), draw(mask), succ, lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_automata())
+def test_text_is_the_documents_json(a):
+    assert to_json(a) == json.dumps(to_document(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["ab", '"\\', "\x01é{", "{a"]))
+def test_complement_dfa_text_is_the_documents_json(seed, labels):
+    d = complement_sf(random_non_returning_nfa(random.Random(seed), max_states=5, labels=labels))
+    assert to_json(d) == json.dumps(to_document(d))
+
+
+def test_zero_letter_alphabet():
+    a = Nfa.from_edges(3, Alphabet(()), 0, [2], [(0, None, 1), (1, None, 2)])
+    assert to_json(a) == json.dumps(to_document(a)) == (
+        '{"alphabet": [], "states": 3, "start": 0, "finals": [2], '
+        '"transitions": [[0, "~", 1], [1, "~", 2]]}')
+    assert from_json(to_json(a)) == a
+
+
+def test_lambda_label_raises_on_every_call():
+    # The alphabet's text is cached; its refusal must not be.
+    a = make_nfa(2, "~b", 0, [1], [(0, "~", 1)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reserved for lambda edges"):
+            to_json(a)
+
+
 def test_round_trip_100_random_nfas_byte_identical():
     rng = random.Random(0)
     for _ in range(100):
@@ -72,7 +117,7 @@ def test_lambda_label_cannot_be_a_symbol():
 
 def test_dfa_serializes_through_nfa_schema():
     d = complement_sf(build(WitnessSpec(Family.LEMMA_L1, 3)))
-    doc = to_document(d)
+    doc = json.loads(to_json(d))
     assert len(doc["transitions"]) == d.state_count * d.alphabet.size
     assert from_json(json.dumps(doc)) == d
 
