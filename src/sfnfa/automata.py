@@ -213,15 +213,9 @@ def trim(a: Nfa) -> Nfa:
     """Restrict to useful states (reachable and co-reachable).
 
     Returns the canonical one-state empty automaton when the language is
-    empty.  Surviving states keep their relative order.
+    empty.  Surviving states keep their relative order, and an automaton
+    whose states are all useful is returned as it is.
     """
-    return trim_with_indices(a)[0]
-
-
-def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
-    """``trim`` and the original index of each surviving state, which is
-    empty when the language is empty.  An automaton whose states are all
-    useful is returned as it is."""
     n = a.state_count
     fwd = [reduce(or_, row, lam) for row, lam in zip(a.succ, a.lam)]
     bwd = [0] * n
@@ -233,9 +227,9 @@ def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
             out ^= low
     useful_mask = _reach(fwd, 1 << a.start) & _reach(bwd, a.final_mask)
     if useful_mask == (1 << n) - 1:
-        return a, tuple(range(n))
+        return a
     if not useful_mask >> a.start & 1:
-        return empty_nfa(a.alphabet), ()
+        return empty_nfa(a.alphabet)
     useful = tuple(bits(useful_mask))
     # new_bit[q]: the bit of state q in the trimmed numbering, 0 if q goes.
     new_bit = [0] * n
@@ -244,7 +238,7 @@ def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
     succ = tuple(tuple(gather(new_bit, mask) for mask in a.succ[q]) for q in useful)
     lam = tuple(gather(new_bit, a.lam[q]) for q in useful)
     start = useful.index(a.start)
-    return Nfa(len(useful), a.alphabet, start, gather(new_bit, a.final_mask), succ, lam), useful
+    return Nfa(len(useful), a.alphabet, start, gather(new_bit, a.final_mask), succ, lam)
 
 
 def accepts(a: Nfa, w: Word) -> bool:

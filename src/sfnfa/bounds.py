@@ -191,10 +191,11 @@ _COVER_NODES = 20000
 def _automaton_matrix(t: Nfa):
     """The automaton matrix of the trim lambda-free ``t`` (see
     ``search_fooling_set``), or ``SearchBudgetExceeded`` past _CELL_CAP
-    cells: ``(rows, cols, cells, in_row, in_col)``, rows and columns as
-    (word, state set), a column's word read backwards, cells as the (i, j)
-    whose row and column meet, and ``in_row[i]``, ``in_col[j]`` the
-    bitmasks of the cells of row i and of column j."""
+    cells: ``(rows, cols, cells, in_row, in_col, support)``, rows and
+    columns as (word, state set), a column's word read backwards, cells as
+    the (i, j) whose row and column meet, ``in_row[i]``, ``in_col[j]`` the
+    bitmasks of the cells of row i and of column j, and ``support[i]`` the
+    bitmask of the columns that row i meets."""
     # On a trim automaton every row and every column holds a cell, so more
     # than _CELL_CAP of either already exceeds the cap.
     rows = list(islice(reachable_sets(t.succ, 1 << t.start), _CELL_CAP + 1))
@@ -208,17 +209,43 @@ def _automaton_matrix(t: Nfa):
             f"the automaton matrix has more than {_CELL_CAP} cells, the search cap")
     in_row = [0] * len(rows)
     in_col = [0] * len(cols)
+    support = [0] * len(rows)
     for v, (i, j) in enumerate(cells):
         in_row[i] |= 1 << v
         in_col[j] |= 1 << v
-    return rows, cols, cells, in_row, in_col
+        support[i] |= 1 << j
+    return rows, cols, cells, in_row, in_col, support
+
+
+def _fooling_cells(t: Nfa, limit: int | None):
+    """The automaton matrix of the trim lambda-free ``t``, the cells of a
+    maximum clique of compatible cells (see ``search_fooling_set``), and
+    their verified fooling set, None when L(t) is empty."""
+    matrix = rows, cols, cells, in_row, in_col, support = _automaton_matrix(t)
+    if not cells:
+        return matrix, [], None
+    # Cell (i, j) clashes with the cells whose row meets column j and whose
+    # column meets row i, which includes (i, j) itself.
+    meets_col = [sum(in_row[i] for i, (_, r) in enumerate(rows) if r & c) for _, c in cols]
+    meets_row = [gather(in_col, s) for s in support]
+    full = (1 << len(cells)) - 1
+    adj = [full & ~(meets_col[j] & meets_row[i]) for i, j in cells]
+    fooling = [cells[v] for v in _max_clique_exact(adj, limit=limit)]
+    text = t.alphabet.text
+    fs = FoolingSet(tuple(
+        (text(rows[i][0]), text(cols[j][0][::-1]))  # a column's word is read backwards
+        for i, j in fooling
+    ))
+    if not verify_fooling_set(t, fs):
+        raise CertificateError("search produced an unverifiable fooling set")
+    return matrix, fooling, fs
 
 
 def search_fooling_set(a: Nfa, *, limit: int | None = None) -> FoolingSet | None:
     """The largest fooling set of L(a) over all words, or None when L(a) is
-    empty, from the reduced automaton matrix of Kameda and Weiner (1970).
-    With a ``limit`` >= 1 it returns the first set of ``limit`` pairs the
-    clique search reaches, so a set of min(limit, maximum) pairs.
+    empty, from the automaton matrix of Kameda and Weiner (1970).  With a
+    ``limit`` >= 1 it returns the first set of ``limit`` pairs the clique
+    search reaches, so a set of min(limit, maximum) pairs.
 
     Rows are the state sets reachable from the start, columns the state
     sets from which a final state is reachable, each with the word that
@@ -229,24 +256,7 @@ def search_fooling_set(a: Nfa, *, limit: int | None = None) -> FoolingSet | None
     maximum fooling set (Birget 1992); the clique search is exact.  The
     set is re-checked by ``verify_fooling_set`` before it is returned.
     """
-    rows, cols, cells, in_row, in_col = _automaton_matrix(trim(remove_lambda(a)))
-    if not cells:
-        return None
-    # Cell (i, j) clashes with the cells whose row meets column j and whose
-    # column meets row i, which includes (i, j) itself.
-    meets_col = [sum(in_row[i] for i, (_, r) in enumerate(rows) if r & c) for _, c in cols]
-    meets_row = [sum(in_col[j] for j, (_, c) in enumerate(cols) if r & c) for _, r in rows]
-    full = (1 << len(cells)) - 1
-    adj = [full & ~(meets_col[j] & meets_row[i]) for i, j in cells]
-
-    text = a.alphabet.text
-    fs = FoolingSet(tuple(
-        (text(rows[i][0]), text(cols[j][0][::-1]))  # a column's word is read backwards
-        for i, j in map(cells.__getitem__, _max_clique_exact(adj, limit=limit))
-    ))
-    if not verify_fooling_set(a, fs):
-        raise CertificateError("search produced an unverifiable fooling set")
-    return fs
+    return _fooling_cells(trim(remove_lambda(a)), limit)[2]
 
 
 def _max_clique_exact(adj: list[int], *, limit: int | None = None) -> list[int]:
@@ -305,18 +315,19 @@ def _max_clique_exact(adj: list[int], *, limit: int | None = None) -> list[int]:
     return sorted(best)
 
 
-def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
-    """An NFA for L(a) with one state per pair of the verified fooling set
-    ``fs``, or None when the search finds none within _COVER_NODES nodes.
-    Past the cell cap it raises ``SearchBudgetExceeded``, as
-    ``search_fooling_set`` does.
+def search_cover(t: Nfa, matrix, fooling: list[tuple[int, int]], target: Nfa) -> Nfa | None:
+    """An NFA for L(t) with one state per cell of ``fooling``, the cells of
+    a verified fooling set in ``matrix``, the automaton matrix of the trim
+    lambda-free ``t`` (both from ``_fooling_cells``), or None when the
+    search finds none within _COVER_NODES nodes.  ``target`` is the
+    canonical DFA of L(t).
 
     The NFA is built from a cover of the automaton matrix by grids, as in
     Kameda and Weiner (1970), read as grids by Tamm (ICALP 2016).  A grid is
     a set of rows times a set of columns whose cells all meet; a prime grid
     is one that no other grid contains, and its columns are the
     intersection of its rows' supports.  Two cells of a fooling set never
-    share a grid, so a cover by len(fs) grids gives each fooling cell a
+    share a grid, so a cover by len(fooling) grids gives each fooling cell a
     grid of its own.  The search branches on the fooling cells, the one
     with the fewest prime grids through it first, picks one such grid for
     each, allows at most one grid that holds the row of the empty word, and
@@ -325,22 +336,16 @@ def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
     word's row, the finals the grids holding its column, and a grid p steps
     to a grid q on x when every row of p has a non-empty x-successor and
     each is a row of q (the intersection rule).  The NFA is kept only if
-    its canonical DFA equals a's, so whatever cover is tried, the answer is
-    exact: an NFA of len(fs) states meets the bound of len(fs) pairs.
+    its canonical DFA equals ``target``, so whatever cover is tried, the
+    answer is exact: an NFA of len(fooling) states meets the bound of that
+    many pairs.
     """
-    if not fs.pairs:
+    if not fooling:
         return None
-    t = trim(remove_lambda(a))
-    rows, cols, cells, in_row, in_col = _automaton_matrix(t)
+    rows, _, cells, in_row, in_col, support = matrix
     sigma = t.alphabet.size
     row_of = {r: i for i, (_, r) in enumerate(rows)}
-    col_of = {c: j for j, (_, c) in enumerate(cols)}
-    fwd = _label_walker(t.succ, 1 << t.start, t.alphabet.index)
-    bwd = _label_walker(pred_rows(t), t.final_mask, t.alphabet.index)
-    fooling = [(row_of[fwd(x)], col_of[bwd(w[::-1])]) for x, w in fs.pairs]
-    # support[i]: the columns that row i meets; next_row[i][x]: the row
-    # that row i steps to on x, or -1 for the empty set.
-    support = [sum(1 << j for j, (_, c) in enumerate(cols) if r & c) for _, r in rows]
+    # next_row[i][x]: the row that row i steps to on x, or -1 for the empty set.
     next_row = [[row_of.get(step(t.succ, r, x), -1) for x in range(sigma)]
                 for _, r in rows]
     nodes = _COVER_NODES
@@ -390,7 +395,6 @@ def search_cover(a: Nfa, fs: FoolingSet) -> Nfa | None:
         for mask, _, _ in options[d]:
             reach[d] |= mask
     full = (1 << len(cells)) - 1
-    target = canonical_dfa(t)
     chosen: list[tuple[int, int, int]] = []
 
     def build() -> Nfa:
@@ -491,22 +495,6 @@ def _survivor_equivalent(cells, k: int, target: Nfa) -> bool:
     return all(states & ~forbidden for states in needs)
 
 
-def _fooling_floor(a: Nfa, known: int, max_states: int) -> FoolingSet | None:
-    """A verified fooling set of L(a) of at most min(known, max_states + 1)
-    pairs, or None for the empty language or past the search's cell cap.
-    ``known`` is the size of an NFA for L(a), so a larger set is a
-    contradiction."""
-    try:
-        fs = search_fooling_set(a, limit=min(known, max_states + 1))
-    except SearchBudgetExceeded:
-        return None
-    if fs is not None and len(fs) > known:
-        raise CertificateError(
-            f"a fooling set of {len(fs)} pairs exceeds an NFA of {known} states"
-        )
-    return fs
-
-
 def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     """Least k <= max_states with a k-state lambda-free NFA with one start
     state for L(a), or None when every such NFA has more states.
@@ -517,17 +505,20 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
     stages of ``canonical_dfa``: the subset table, its Moore blocks, and
     the numbering of the blocks into an ``Nfa``.  The first two always run,
     and the live states are counted on the blocks (``_live_blocks``); the
-    numbering runs only when a size is left to enumerate.  Three floors
-    rule sizes out: every k with 2^k - 1 below the live states of the
-    minimal DFA, since a k-state NFA reaches at most 2^k - 1 non-empty state
-    sets and each live state is the language of one of them (the subset
-    floor, which settles live <= 2 at once, before any automaton is built);
+    numbering runs once, only when a cover is tried or a size is left to
+    enumerate.  Three floors rule sizes out: every k with 2^k - 1 below the
+    live states of the minimal DFA, since a k-state NFA reaches at most
+    2^k - 1 non-empty state sets and each live state is the language of one
+    of them (the subset floor, which settles live <= 2 at once, before any
+    automaton is built);
     every k up to the length of the shortest accepted word, read off the
     first final set of ``reachable_sets`` on the trimmed input; and every k
     below a verified fooling set, searched once on the trimmed input with a
-    limit of min(stop, max_states + 1) pairs, and none past its cell cap.
-    When the fooling set is the largest floor and below the stop,
-    ``search_cover`` may meet it with an NFA of that size.  The sizes left
+    limit of min(stop, max_states + 1) pairs, and none past its cell cap; a
+    set above the stop raises ``CertificateError``.  When the fooling set is
+    the largest floor and below the stop, ``search_cover`` may meet it with
+    an NFA of that size, from the clique's cells in the same automaton
+    matrix and the canonical DFA numbered from the blocks.  The sizes left
     below the stop are enumerated: tables are filtered against all words of
     length <= 2k, labeled by walking the canonical DFA, and each survivor is
     decided by one walk of its product with that DFA
@@ -553,14 +544,26 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
                      if states & trimmed.final_mask), None)
     if shortest is not None:
         low = max(low, shortest + 1)
+    target = None
     if low < known and low <= max_states:
-        fs = _fooling_floor(trimmed, known, max_states)
+        try:
+            matrix, fooling, fs = _fooling_cells(trimmed, min(known, max_states + 1))
+        except SearchBudgetExceeded:
+            fs = None
+        # ``known`` is the size of an NFA for L(a), so a larger set is a
+        # contradiction.
+        if fs is not None and len(fs) > known:
+            raise CertificateError(
+                f"a fooling set of {len(fs)} pairs exceeds an NFA of {known} states"
+            )
         if fs is not None and len(fs) >= low:
             low = len(fs)
-            if low < known and low <= max_states and search_cover(trimmed, fs) is not None:
-                return low
+            if low < known and low <= max_states:
+                target = _minimal(a.alphabet, table, final, block)
+                if search_cover(trimmed, matrix, fooling, target) is not None:
+                    return low
     sizes = range(low, min(known, max_states + 1))
-    if sizes:
+    if sizes and target is None:
         target = _minimal(a.alphabet, table, final, block)
     ceiling = _default_ceiling(sigma)
     for k in sizes:
@@ -634,7 +637,7 @@ class ComplexityReport:
 
 
 # The lower-bound method of an operation without a paper fooling family:
-# the exact fooling-set search over the reduced automaton matrix.
+# the exact fooling-set search over the automaton matrix.
 SEARCH = "search"
 
 

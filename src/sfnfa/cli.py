@@ -38,7 +38,7 @@ from .errors import (
     SuffixFreeViolation,
 )
 from .suffixfree import is_non_returning, is_suffix_free
-from .witnesses import Family, WitnessSpec, build
+from .witnesses import Family, WitnessSpec, build, checked_layout
 
 # The exit code of each package error, matched with isinstance in order.
 _EXIT_CODES = {
@@ -261,8 +261,12 @@ def table(m_range, n_range, fmt, seed):
     complementation)."""
     ms = _parse_range(m_range)
     ns = _parse_range(n_range) if n_range else ms
-    # `witnesses.build`'s first check, on the largest m or n, before any certify.
-    serialize.check_limits(max(ms[-1], ns[-1]), 1, error=ParameterOutOfRange)
+    # Each operation's largest witnesses pass `witnesses.build`'s checks
+    # before any certify, so a range past the load limits is refused at once.
+    for spec in OPERATIONS.values():
+        low = spec.witness.min_m
+        if ms[-1] >= low and not (spec.binary and ns[-1] < low):
+            checked_layout(WitnessSpec(spec.witness, ms[-1], ns[-1] if spec.binary else None))
     rows = []
     failed = False
     for operation, spec in OPERATIONS.items():

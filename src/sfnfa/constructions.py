@@ -19,7 +19,7 @@ from .automata import (
     product_intersection_with_pairs,
     pred_rows,
     step,
-    trim_with_indices,
+    trim,
 )
 from .errors import (
     CertificateError,
@@ -104,9 +104,9 @@ def concat_sf(a: Nfa, b: Nfa, strict: bool = False) -> Nfa:
     return Nfa(n, a.alphabet, a.start, final_mask, succ, (0,) * n)
 
 
-def intersect_sf_with_pairs(a: Nfa, b: Nfa, strict: bool = False):
-    """Intersection via the trimmed reachable product; also returns the
-    (p, q) origin pair of every surviving state."""
+def intersect_sf(a: Nfa, b: Nfa, strict: bool = False) -> Nfa:
+    """Intersection via the trimmed reachable product, on at most
+    mn-(m+n)+2 states."""
     _require(strict, ("left", a, True), ("right", b, True))
     product, pairs = product_intersection_with_pairs(a, b)
     # Reachability alone already excludes the mixed-start pairs (s1, q) and
@@ -114,18 +114,12 @@ def intersect_sf_with_pairs(a: Nfa, b: Nfa, strict: bool = False):
     for p, q in pairs[1:]:
         if p == a.start or q == b.start:
             raise CertificateError(f"mixed-start pair {(p, q)} is reachable in the product")
-    trimmed, useful = trim_with_indices(product)
-    # The canonical empty automaton carries no origin pair.
-    kept = tuple(pairs[i] for i in useful) or (None,)
+    trimmed = trim(product)
     bound = max(a.state_count * b.state_count - (a.state_count + b.state_count) + 2, 1)
     if trimmed.state_count > bound:
         raise CertificateError(
             f"intersection has {trimmed.state_count} states, above its bound {bound}")
-    return trimmed, kept
-
-
-def intersect_sf(a: Nfa, b: Nfa, strict: bool = False) -> Nfa:
-    return intersect_sf_with_pairs(a, b, strict=strict)[0]
+    return trimmed
 
 
 def star_sf(a: Nfa, strict: bool = False) -> Nfa:

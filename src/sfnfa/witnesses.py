@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, alphabet, bits
+from .automata import Alphabet, Nfa, alphabet
 from .errors import ParameterOutOfRange
 from .serialize import check_limits
 
@@ -56,7 +56,6 @@ class WitnessSpec:
     family: Family
     m: int
     n: int | None = None
-    inner: Nfa | None = None  # COMPLEMENT_PREFIXED only: custom binary core
 
     def __post_init__(self):
         f = self.family
@@ -127,25 +126,16 @@ def _reversal_witness(m: int) -> tuple:
     return m, alpha, 0, frozenset({1, p_b, p_c}), frozenset(trans)
 
 
-def _complement_prefixed(m: int, inner: Nfa | None) -> tuple:
+def _complement_prefixed(m: int) -> tuple:
     """c·K: a c edge from a fresh start 0 into the start of the binary core
-    K, whose states move up by one."""
-    if inner is None:
-        # m-1 states over {a,b}: a-count = 0 mod m-1, b free.  A stand-in for
-        # the external hard-to-complement binary family; it lets the pipeline
-        # run end to end but claims nothing about the 2^(m-1)-1 lower bound.
-        states, start, finals = m - 1, 0, [0]
-        edges = [(i, x, (i + 1) % states if x == 0 else i) for i in range(states) for x in (0, 1)]
-    else:
-        if inner.alphabet.labels != ("a", "b"):
-            raise ParameterOutOfRange("complement-prefixed core must be over {a, b}")
-        if inner.has_lambda:
-            raise ParameterOutOfRange("complement-prefixed core must be lambda-free")
-        states, start, finals = inner.state_count, inner.start, bits(inner.final_mask)
-        edges = [(src, x, dst) for src, row in enumerate(inner.succ)
-                 for x, mask in enumerate(row) for dst in bits(mask)]
-    trans = [(0, 2, start + 1), *[(src + 1, x, dst + 1) for src, x, dst in edges]]
-    return states + 1, alphabet("abc"), 0, [q + 1 for q in finals], trans
+    K, whose states move up by one.  K has m-1 states over {a,b}: a-count =
+    0 mod m-1, b free.  A stand-in for the external hard-to-complement
+    binary family; it lets the pipeline run end to end but claims nothing
+    about the 2^(m-1)-1 lower bound."""
+    states = m - 1
+    edges = [(i, x, (i + 1) % states if x == 0 else i) for i in range(states) for x in (0, 1)]
+    trans = [(0, 2, 1), *[(src + 1, x, dst + 1) for src, x, dst in edges]]
+    return states + 1, alphabet("abc"), 0, [1], trans
 
 
 def layout(spec: WitnessSpec) -> tuple[tuple, ...]:
@@ -169,19 +159,25 @@ def layout(spec: WitnessSpec) -> tuple[tuple, ...]:
     if f is Family.REVERSAL:
         return (_reversal_witness(m),)
     if f is Family.COMPLEMENT_PREFIXED:
-        return (_complement_prefixed(m, spec.inner),)
+        return (_complement_prefixed(m),)
     raise ParameterOutOfRange(f"unknown family: {f}")
 
 
-def build(spec: WitnessSpec):
-    """Instantiate a witness family; pair families return a 2-tuple.  A
-    witness too large to load back raises ``ParameterOutOfRange`` before
-    any successor mask is allocated."""
+def checked_layout(spec: WitnessSpec) -> tuple[tuple, ...]:
+    """``layout(spec)``, or ``ParameterOutOfRange`` for a witness too large
+    to load back, before any successor mask is allocated."""
     # Each family has m (and n) states over at least one symbol, so this
     # refuses an m beyond the load limits before its edges are listed.
     check_limits(max(spec.m, spec.n or 0), 1, error=ParameterOutOfRange)
     shapes = layout(spec)
     for states, alpha, _, _, transitions in shapes:
         check_limits(states, alpha.size, transitions, error=ParameterOutOfRange)
-    made = tuple(Nfa.from_edges(*args) for args in shapes)
+    return shapes
+
+
+def build(spec: WitnessSpec):
+    """Instantiate a witness family; pair families return a 2-tuple.  A
+    witness too large to load back raises ``ParameterOutOfRange`` before
+    any successor mask is allocated."""
+    made = tuple(Nfa.from_edges(*args) for args in checked_layout(spec))
     return made if spec.family.is_pair else made[0]

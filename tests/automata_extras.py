@@ -13,7 +13,6 @@ from sfnfa.automata import (
     step,
 )
 from sfnfa.constructions import _require, complement_sf
-from sfnfa.witnesses import Family, WitnessSpec, build
 
 
 def determinize(a: Nfa) -> Nfa:
@@ -66,7 +65,10 @@ COMPLEMENT_CORES = {
 
 
 def complement_witness(m: int) -> Nfa:
-    """``complement_sf`` of the m-state c·K of ``COMPLEMENT_CORES[m]``."""
+    """``complement_sf`` of the m-state c·K of ``COMPLEMENT_CORES[m]``: a c
+    edge from a fresh start 0 into the core's start, the core's states moved
+    up by one."""
     states, finals, edges = COMPLEMENT_CORES[m]
-    core = make_nfa(states, "ab", 0, finals, edges)
-    return complement_sf(build(WitnessSpec(Family.COMPLEMENT_PREFIXED, m, inner=core)))
+    moved = [(src + 1, x, dst + 1) for src, x, dst in edges]
+    return complement_sf(make_nfa(states + 1, "abc", 0, [q + 1 for q in finals],
+                                  [(0, "c", 1), *moved]))

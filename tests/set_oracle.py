@@ -137,7 +137,7 @@ def _graph_reach(edges: set, states) -> set:
     return seen
 
 
-def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
+def trim(a: Nfa) -> Nfa:
     """The useful states, renumbered in order, always rebuilt as a new
     ``Nfa``; the one-state empty automaton when the start is useless."""
     edges = {(src, dst) for src, _sym, dst in a.transitions}
@@ -145,12 +145,12 @@ def trim_with_indices(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
     coreach = _graph_reach({(dst, src) for src, dst in edges}, a.finals)
     useful = sorted(reach & coreach)
     if a.start not in useful:
-        return Nfa.from_edges(1, a.alphabet, 0, (), ()), ()
+        return Nfa.from_edges(1, a.alphabet, 0, (), ())
     remap = {old: new for new, old in enumerate(useful)}
     trans = frozenset((remap[s], x, remap[d]) for s, x, d in a.transitions
                       if s in remap and d in remap)
     finals = frozenset(remap[q] for q in a.finals if q in remap)
-    return Nfa.from_edges(len(useful), a.alphabet, remap[a.start], finals, trans), tuple(useful)
+    return Nfa.from_edges(len(useful), a.alphabet, remap[a.start], finals, trans)
 
 
 def determinize(a: Nfa) -> Dfa:
@@ -336,10 +336,8 @@ def concat_sf(a: Nfa, b: Nfa) -> Nfa:
     return Nfa.from_edges(a.state_count + b.state_count - 1, a.alphabet, a.start, finals, trans)
 
 
-def intersect_sf_with_pairs(a: Nfa, b: Nfa) -> tuple[Nfa, tuple]:
-    product, pairs = product_intersection_with_pairs(a, b)
-    trimmed, useful = trim_with_indices(product)
-    return trimmed, tuple(pairs[i] for i in useful) or (None,)
+def intersect_sf(a: Nfa, b: Nfa) -> Nfa:
+    return trim(product_intersection(a, b))
 
 
 def star_sf(a: Nfa) -> Nfa:

@@ -11,6 +11,7 @@ from sfnfa.automata import (
     lambda_nfa,
     alphabet,
     make_nfa,
+    product_intersection_with_pairs,
 )
 from sfnfa.bounds import (
     FoolingFamily,
@@ -24,7 +25,6 @@ from sfnfa.bounds import (
 from sfnfa.constructions import (
     complement_sf,
     concat_sf,
-    intersect_sf_with_pairs,
     reverse_nfa,
     star_sf,
     union_sf,
@@ -86,7 +86,8 @@ def test_criterion_3_intersection_tightness():
                 assert r.constructed_size == r.lower_bound == m * n - (m + n) + 2
                 assert r.tight
                 left, right = build(WitnessSpec(Family.INTERSECT_PAIR, m, n))
-                _, pairs = intersect_sf_with_pairs(left, right)
+                # The reachable product pairs hold every pair the trim keeps.
+                _, pairs = product_intersection_with_pairs(left, right)
                 for p, q in pairs[1:]:
                     assert p != left.start and q != right.start
 

@@ -25,7 +25,6 @@ from sfnfa.automata import (
     make_nfa,
     remove_lambda,
     trim,
-    trim_with_indices,
 )
 from sfnfa.cli import main
 from sfnfa.constructions import complement_sf, reverse_nfa
@@ -182,7 +181,6 @@ class TestTrim:
     def test_trim_input_is_returned_as_it_is(self):
         a = build(WitnessSpec(Family.LEMMA_L1, 3))
         assert trim(a) is a
-        assert trim_with_indices(a) == (a, (0, 1, 2))
 
 
 class TestAccepts:
@@ -439,9 +437,7 @@ class TestMaskCoreAgainstSetOracle:
     @given(random_lambda_nfas)
     def test_trim_with_indices(self, a):
         # The oracle always rebuilds; the core returns a trim input as is.
-        got, useful = trim_with_indices(a)
-        want, want_useful = set_oracle.trim_with_indices(a)
-        assert got == want and useful == want_useful
+        assert trim(a) == set_oracle.trim(a)
 
     @settings(max_examples=150, deadline=None)
     @given(random_lambda_nfas)

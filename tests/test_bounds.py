@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfnfa import _kernel, bounds
+from sfnfa import _kernel, automata, bounds
 from sfnfa.automata import (
     accepts,
     alphabet,
@@ -703,11 +703,40 @@ class TestNscStages:
         assert nsc_exhaustive(a, 3) == want
 
     def test_bounds_that_meet_the_stop_number_no_blocks(self, monkeypatch):
-        # b (aa)*: the 3-pair fooling floor meets the 3 live states, and
-        # the complement witness at m=3 is met by a cover of 4 grids.
-        monkeypatch.setattr(bounds, "_minimal", self.refuse)
+        # b (aa)*: the 3-pair fooling floor meets the 3 live states, so no
+        # block is numbered.  The complement witness at m=3 is met by a
+        # cover of 4 grids: its blocks are numbered once, for the cover's
+        # check, and the canonical DFA of the input itself is never built.
+        numbered = []
+        real_minimal = bounds._minimal
+        monkeypatch.setattr(bounds, "_minimal",
+                            lambda *args: numbered.append(1) or real_minimal(*args))
+        checked = []
+        real_canonical = bounds.canonical_dfa
+        monkeypatch.setattr(bounds, "canonical_dfa",
+                            lambda nfa: checked.append(nfa) or real_canonical(nfa))
         assert nsc_exhaustive(build(WitnessSpec(Family.LEMMA_L1, 3)), 3) == 3
-        assert nsc_exhaustive(complement_witness(3), 40) == 4
+        assert numbered == []
+        a = complement_witness(3)
+        assert nsc_exhaustive(a, 40) == 4
+        assert numbered == [1]
+        assert checked and trim(remove_lambda(a)) not in checked
+
+    def test_a_cover_reuses_the_matrix_and_the_subset_table(self, monkeypatch):
+        # The m=6 complement witness is met by a cover: one automaton matrix
+        # serves the clique and the cover search, and one subset table of
+        # the input serves the live states and the cover's check; the only
+        # other subset walk is the check of the cover NFA itself.
+        a = complement_witness(6)
+        walks = []
+        real_walk = automata._subset_walk
+        monkeypatch.setattr(automata, "_subset_walk",
+                            lambda rows, start: walks.append(rows) or real_walk(rows, start))
+        with mock.patch.object(bounds, "_automaton_matrix",
+                               wraps=bounds._automaton_matrix) as matrix:
+            assert nsc_exhaustive(a, 40) == 32
+        assert matrix.call_count == 1
+        assert [rows is a.succ for rows in walks] == [True, False]
 
     def test_a_size_left_to_enumerate_numbers_the_blocks_once(self, monkeypatch):
         calls = []
@@ -821,6 +850,15 @@ class TestSurvivorDecision:
         assert _disagreements(mutant)
 
 
+def _cover(a, limit=None):
+    """The fooling set of L(a) and ``search_cover``'s NFA for its cells, as
+    ``nsc_exhaustive`` runs them: on the trimmed lambda-free input, its
+    automaton matrix and its canonical DFA."""
+    t = trim(remove_lambda(a))
+    matrix, fooling, fs = bounds._fooling_cells(t, limit)
+    return fs, search_cover(t, matrix, fooling, canonical_dfa(t))
+
+
 class TestCoverSearch:
     """NFAs built from covers of the automaton matrix by prime grids, one
     grid per cell of a verified fooling set."""
@@ -831,8 +869,7 @@ class TestCoverSearch:
         # 2^(m-1) is met by a cover, so no table is enumerated.
         a = complement_witness(m)
         assert a.state_count == 2 ** (m - 1) + 1
-        fs = search_fooling_set(a)
-        nfa = search_cover(a, fs)
+        fs, nfa = _cover(a)
         assert len(fs) == nfa.state_count == 2 ** (m - 1)
         assert set_oracle.canonical_dfa(nfa) == set_oracle.canonical_dfa(a)
         with mock.patch.object(_kernel, "filter_tables", side_effect=AssertionError):
@@ -865,10 +902,9 @@ class TestCoverSearch:
         else:
             a = random_non_returning_nfa(rng, max_states=6)
         try:
-            fs = search_fooling_set(a)
+            fs, nfa = _cover(a)
         except SearchBudgetExceeded:
             return
-        nfa = search_cover(a, fs) if fs else None
         if nfa is None:
             return
         assert nfa.state_count == len(fs)
@@ -878,22 +914,22 @@ class TestCoverSearch:
 
     def test_a_cover_that_fails_the_check_is_not_kept(self):
         a = COVER_FAILS_ITS_CHECK
-        fs = search_fooling_set(a)
+        fs, nfa = _cover(a)
         assert len(fs) == 3
-        assert search_cover(a, fs) is None
+        assert nfa is None
         assert nsc_exhaustive(a, 5) == 4
         assert nsc_without_stop(a, 3) is None
 
     def test_fewer_pairs_than_the_minimum_give_no_cover(self):
         a = complement_witness(4)
-        assert search_cover(a, search_fooling_set(a, limit=7)) is None
-        assert search_cover(a, FoolingSet(())) is None
+        assert _cover(a, limit=7)[1] is None
+        t = trim(remove_lambda(a))
+        assert search_cover(t, bounds._automaton_matrix(t), [], canonical_dfa(t)) is None
 
     def test_past_the_node_budget_there_is_no_answer(self, monkeypatch):
         a = complement_witness(4)
-        fs = search_fooling_set(a)
         monkeypatch.setattr(bounds, "_COVER_NODES", 8)
-        assert search_cover(a, fs) is None
+        assert _cover(a)[1] is None
         with pytest.raises(BudgetExceeded, match="k=8 exceeds the ceiling 2"):
             nsc_exhaustive(a, 40)
 

@@ -487,6 +487,16 @@ class TestExitCodes:
         assert result.stderr == "error: states × alphabet size must be at most 1048576\n"
         assert isinstance(result.exception, SystemExit)
 
+    def test_a_table_range_past_the_mask_bound_exits_2_at_once(self, runner):
+        # Every n up to 70000 passes the row bound, but the catenation
+        # witnesses at n = 70000 would exceed the mask bound.
+        t0 = time.perf_counter()
+        result = runner.invoke(main, ["table", "--m", "2..2", "--n", "2..70000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: the successor masks would exceed 2147483648 bits\n"
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestEnumerate:
     def test_enumerate(self, runner, tmp_path):

@@ -28,7 +28,6 @@ from sfnfa.constructions import (
     complement_sf,
     concat_sf,
     intersect_sf,
-    intersect_sf_with_pairs,
     reverse_nfa,
     star_sf,
     union_sf,
@@ -134,8 +133,9 @@ class TestIntersect:
         assert result.state_count == 5  # 9 - 6 + 2
 
     def test_mixed_start_pairs_absent(self):
+        # The reachable product pairs hold every pair the trim keeps.
         left, right = build(WitnessSpec(Family.INTERSECT_PAIR, 4, 3))
-        _, pairs = intersect_sf_with_pairs(left, right)
+        _, pairs = product_intersection_with_pairs(left, right)
         for p, q in pairs[1:]:
             assert p != left.start and q != right.start
 
@@ -353,7 +353,7 @@ class TestCertificateChecks:
     def test_intersection_bound(self, monkeypatch):
         a, b = build(WitnessSpec(Family.INTERSECT_PAIR, 3, 3))
         too_big = Nfa.from_edges(6, a.alphabet, 0, {5}, ())
-        monkeypatch.setattr(constructions, "trim_with_indices", lambda p: (too_big, (0,)))
+        monkeypatch.setattr(constructions, "trim", lambda p: too_big)
         with pytest.raises(CertificateError, match="above its bound 5"):
             intersect_sf(a, b)
 
@@ -383,7 +383,7 @@ class TestCertificateChecks:
     def test_fooling_floor_above_the_stop(self, monkeypatch):
         # A 4-pair set for a language with a 3-state NFA contradicts itself.
         four = bounds.paper_fooling_set(bounds.FoolingFamily.LEMMA_L1, 4)
-        monkeypatch.setattr(bounds, "search_fooling_set", lambda a, limit=None: four)
+        monkeypatch.setattr(bounds, "_fooling_cells", lambda t, limit: (None, None, four))
         with pytest.raises(CertificateError, match="4 pairs exceeds an NFA of 3 states"):
             bounds.nsc_exhaustive(build(WitnessSpec(Family.LEMMA_L1, 3)), 3)
 
@@ -482,9 +482,7 @@ class TestMasksAgainstSetOracle:
     @settings(max_examples=100, deadline=None)
     @given(operands())
     def test_intersect(self, ab):
-        got, pairs = intersect_sf_with_pairs(*ab)
-        want, want_pairs = set_oracle.intersect_sf_with_pairs(*ab)
-        assert (to_json(got), pairs) == (to_json(want), want_pairs)
+        assert to_json(intersect_sf(*ab)) == to_json(set_oracle.intersect_sf(*ab))
 
     @settings(max_examples=100, deadline=None)
     @given(labels_1_to_3.flatmap(lambda labels: small_nfas(labels, non_returning=True)))

@@ -1,6 +1,6 @@
 import pytest
 
-from sfnfa.automata import accepts, enumerate_words, make_nfa
+from sfnfa.automata import accepts, enumerate_words
 from sfnfa.bounds import FoolingFamily, paper_fooling_set, verify_fooling_set
 from sfnfa.errors import ParameterOutOfRange
 from sfnfa.suffixfree import is_non_returning, is_suffix_free
@@ -39,13 +39,6 @@ class TestStateCounts:
                 assert nfas[1].state_count == spec.n
             else:
                 assert nfas[0].state_count == spec.m
-
-    def test_custom_complement_core_size(self):
-        core = make_nfa(3, "ab", 0, [2], [(0, "a", 1), (1, "b", 2)])
-        w = build(WitnessSpec(Family.COMPLEMENT_PREFIXED, 2, inner=core))
-        assert w.state_count == core.state_count + 1
-        assert accepts(w, w.alphabet.word("cab"))
-        assert not accepts(w, w.alphabet.word("ab"))
 
 
 class TestStructuralInvariants:
