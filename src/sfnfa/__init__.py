@@ -19,7 +19,6 @@ from .automata import (
 )
 from .bounds import (
     ComplexityReport,
-    FoolingFamily,
     FoolingSet,
     LowerBoundKind,
     Operation,
@@ -58,9 +57,9 @@ __all__ = [
     "Alphabet", "Nfa", "Word", "accepts", "alphabet", "canonical_dfa",
     "empty_nfa", "enumerate_words", "equivalent", "lambda_nfa", "make_nfa",
     "remove_lambda", "trim",
-    "ComplexityReport", "FoolingFamily", "FoolingSet", "LowerBoundKind",
-    "Operation", "certify", "formula_value", "nsc_exhaustive",
-    "paper_fooling_set", "search_fooling_set", "verify_fooling_set",
+    "ComplexityReport", "FoolingSet", "LowerBoundKind", "Operation", "certify",
+    "formula_value", "nsc_exhaustive", "paper_fooling_set", "search_fooling_set",
+    "verify_fooling_set",
     "complement_sf", "concat_sf", "intersect_sf", "reverse_nfa", "star_sf", "union_sf",
     "BudgetExceeded", "NonReturningViolation", "ParameterOutOfRange",
     "ParseError", "PreconditionViolation", "SearchBudgetExceeded", "SfnfaError",

@@ -17,12 +17,16 @@ from heapq import merge
 from itertools import islice, product
 
 IMPL = "pure"
+# The most survivors ``filter_tables`` returns; a search that keeps this
+# many may have dropped some.
+SURVIVOR_CAP = 200000
 
 
-def filter_tables(num_states, num_symbols, parents, symbols, accepts, cap=200000):
+def filter_tables(num_states, num_symbols, parents, symbols, accepts):
     """Return ``[(cells, finals_mask), ...]`` for every sample-consistent
-    transition table, in ascending table-encoding order: the first ``cap``
-    of them, and no table past those is built.
+    transition table, in ascending table-encoding order: the first
+    ``SURVIVOR_CAP`` of them, read at call time, and no table past those
+    is built.
 
     ``parents``/``symbols``/``accepts`` describe the word trie in BFS order
     with the root (the empty word) at index 0.
@@ -187,11 +191,11 @@ def filter_tables(num_states, num_symbols, parents, symbols, accepts, cap=200000
     # the leaves with no unassigned cell, one table each, are sorted into
     # one merge input (a dense sample leaves about 150,000 of them, too
     # many to merge one by one), each other leaf's expansions are another,
-    # and the merge stops after ``cap`` tables.  Reversed cells compare like
-    # encodings: the last cell is most significant.
+    # and the merge stops after SURVIVOR_CAP tables.  Reversed cells compare
+    # like encodings: the last cell is most significant.
     def key(survivor):
         return survivor[0][::-1]
 
     whole = sorted((leaf for leaf in found if -1 not in leaf[0]), key=key)
     expanded = [expand(*leaf) for leaf in found if -1 in leaf[0]]
-    return list(islice(merge(whole, *expanded, key=key), cap))
+    return list(islice(merge(whole, *expanded, key=key), SURVIVOR_CAP))

@@ -1,6 +1,7 @@
 """Lower-bound machinery: fooling-set certificates, fooling-set search,
 an exhaustive minimal-NFA oracle for tiny instances, and the certification
-reports tying upper and lower bounds together."""
+reports tying upper and lower bounds together.  The paper's fooling pairs
+live beside the witness families they fool, in ``witnesses``."""
 
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .errors import (
     ParameterOutOfRange,
     SearchBudgetExceeded,
 )
-from .witnesses import Family, WitnessSpec, build
+from .witnesses import Family, WitnessSpec, build, fooling_pairs
 
 
 @dataclass(frozen=True)
@@ -127,57 +128,11 @@ def verify_fooling_set(a: Nfa, p: FoolingSet) -> bool:
     )
 
 
-class FoolingFamily(enum.Enum):
-    LEMMA_L1 = "lemma-l1"
-    LEMMA_L2 = "lemma-l2"
-    UNION = "union"
-    CATENATION = "catenation"
-    INTERSECTION = "intersection"
-    STAR = "star"
-
-
-def paper_fooling_set(family: FoolingFamily, m: int, n: int | None = None) -> FoolingSet:
-    """The explicit symbolic fooling-set family for each tight operation,
-    instantiated at (m, n)."""
-    def need(cond, msg):
-        if not cond:
-            raise ParameterOutOfRange(msg)
-
-    if family is FoolingFamily.LEMMA_L1:
-        need(m >= 2, "lemma-l1 needs m >= 2")
-        pairs = [("", "b")] + [("b" + "a" * i, "a" * (m - 1 - i)) for i in range(m - 1)]
-    elif family is FoolingFamily.LEMMA_L2:
-        need(m >= 3, "lemma-l2 needs m >= 3")
-        pairs = [("", "bb")]
-        pairs += [("b" + "a" * i, "a" * (m - 2 - i) + "b") for i in range(m - 2)]
-        pairs += [("b" + "a" * (m - 2) + "b", "")]
-    elif family is FoolingFamily.UNION:
-        need(m >= 2 and n is not None and n >= 2, "union needs m, n >= 2")
-        pairs = [("", "b" + "a" * (m - 1))]
-        pairs += [("b" + "a" * i, "a" * (m - 1 - i)) for i in range(m - 1)]
-        pairs += [("a" + "b" * j, "b" * (n - 1 - j)) for j in range(n - 1)]
-    elif family is FoolingFamily.CATENATION:
-        need(m >= 2 and n is not None and n >= 2, "catenation needs m, n >= 2")
-        total = m + n - 2
-        pairs = [("a" * i, "a" * (total - i)) for i in range(total + 1)]
-    elif family is FoolingFamily.INTERSECTION:
-        need(m >= 2 and n is not None and n >= 2, "intersection needs m, n >= 2")
-        pairs = [("", "c")]
-        for i in range(1, m):
-            for j in range(1, n):
-                pairs.append(
-                    ("c" + "a" * i + "b" * j, "a" * (m - 1 - i) + "b" * (n - 1 - j))
-                )
-    elif family is FoolingFamily.STAR:
-        if m == 1:
-            pairs = [("", "")]
-        else:
-            pairs = [("", "b")] + [
-                ("b" + "a" * i, "a" * (m - 1 - i)) for i in range(m - 1)
-            ]
-    else:
-        raise ParameterOutOfRange(f"unknown fooling family: {family}")
-    return FoolingSet(tuple(pairs))
+def paper_fooling_set(family: Family, m: int, n: int | None = None) -> FoolingSet:
+    """The paper's fooling set for the language whose bound ``family``
+    witnesses, at (m, n): ``ParameterOutOfRange`` where ``WitnessSpec``
+    refuses (m, n) or the paper gives the family no fooling set."""
+    return FoolingSet(fooling_pairs(WitnessSpec(family, m, n)))
 
 
 # The most matrix cells the exact clique search takes on.  It recurses once
@@ -241,11 +196,9 @@ def _fooling_cells(t: Nfa, limit: int | None):
     return matrix, fooling, fs
 
 
-def search_fooling_set(a: Nfa, *, limit: int | None = None) -> FoolingSet | None:
+def search_fooling_set(a: Nfa) -> FoolingSet | None:
     """The largest fooling set of L(a) over all words, or None when L(a) is
-    empty, from the automaton matrix of Kameda and Weiner (1970).  With a
-    ``limit`` >= 1 it returns the first set of ``limit`` pairs the clique
-    search reaches, so a set of min(limit, maximum) pairs.
+    empty, from the automaton matrix of Kameda and Weiner (1970).
 
     Rows are the state sets reachable from the start, columns the state
     sets from which a final state is reachable, each with the word that
@@ -256,7 +209,7 @@ def search_fooling_set(a: Nfa, *, limit: int | None = None) -> FoolingSet | None
     maximum fooling set (Birget 1992); the clique search is exact.  The
     set is re-checked by ``verify_fooling_set`` before it is returned.
     """
-    return _fooling_cells(trim(remove_lambda(a)), limit)[2]
+    return _fooling_cells(trim(remove_lambda(a)), None)[2]
 
 
 def _max_clique_exact(adj: list[int], *, limit: int | None = None) -> list[int]:
@@ -435,8 +388,6 @@ def search_cover(t: Nfa, matrix, fooling: list[tuple[int, int]], target: Nfa) ->
 # Exhaustive search ceilings: the full table space (2^k)^(k * sigma) has to
 # stay enumerable; beyond these the tool degrades to fooling sets only.
 _TABLE_BUDGET = 1 << 24
-# A table search that keeps this many survivors may have dropped some.
-_SURVIVOR_CAP = 200000
 
 
 def _default_ceiling(alphabet_size: int) -> int:
@@ -581,12 +532,10 @@ def nsc_exhaustive(a: Nfa, max_states: int) -> int | None:
         for i in range(1, len(parents)):
             state.append(step(target.succ, state[parents[i]], symbols[i]))
         labels = [bool(q & target.final_mask) for q in state]
-        survivors = _kernel.filter_tables(
-            k, sigma, parents, symbols, labels, cap=_SURVIVOR_CAP
-        )
-        if len(survivors) >= _SURVIVOR_CAP:
+        survivors = _kernel.filter_tables(k, sigma, parents, symbols, labels)
+        if len(survivors) >= _kernel.SURVIVOR_CAP:
             raise BudgetExceeded(
-                f"the table search for k={k} kept {_SURVIVOR_CAP} survivors, "
+                f"the table search for k={k} kept {_kernel.SURVIVOR_CAP} survivors, "
                 "its cap"
             )
         if any(_survivor_equivalent(cells, k, target) for cells, _ in survivors):
@@ -636,23 +585,24 @@ class ComplexityReport:
         }
 
 
-# The lower-bound method of an operation without a paper fooling family:
-# the exact fooling-set search over the automaton matrix.
+# The lower-bound methods of an operation: the paper's fooling set of its
+# witness family, or the exact fooling-set search over the automaton matrix.
+PAPER = "paper"
 SEARCH = "search"
 
 
 @dataclass(frozen=True)
 class OperationSpec:
-    """One operation of the paper's summary table.  ``lower`` is a paper
-    fooling family (the operation is then expected TIGHT), ``SEARCH`` or
-    None.  ``construct(*operands, strict)`` looks the construction up among
-    this module's globals at call time, so a rebinding of them is seen."""
+    """One operation of the paper's summary table.  ``lower`` is ``PAPER``
+    (the operation is then expected TIGHT), ``SEARCH`` or None.
+    ``construct(*operands, strict)`` looks the construction up among this
+    module's globals at call time, so a rebinding of them is seen."""
 
     witness: Family
     construct: Callable[..., Nfa]
     formula: Callable[[int, int | None], int]
     formula_text: str
-    lower: FoolingFamily | str | None
+    lower: str | None
     note: str | None = None
     lambda_at_m1: bool = False  # {λ} stands in below the family's minimum m
 
@@ -662,23 +612,23 @@ class OperationSpec:
 
     @property
     def expects_tight(self) -> bool:
-        return isinstance(self.lower, FoolingFamily)
+        return self.lower == PAPER
 
 
 # In the order of the paper's summary table.
 OPERATIONS: dict[Operation, OperationSpec] = {
     Operation.CATENATION: OperationSpec(
         Family.CONCAT_PAIR, lambda a, b, strict: concat_sf(a, b, strict=strict),
-        lambda m, n: m + n - 1, "m+n-1", FoolingFamily.CATENATION),
+        lambda m, n: m + n - 1, "m+n-1", PAPER),
     Operation.UNION: OperationSpec(
         Family.UNION_PAIR, lambda a, b, strict: union_sf(a, b, strict=strict),
-        lambda m, n: m + n - 1, "m+n-1", FoolingFamily.UNION),
+        lambda m, n: m + n - 1, "m+n-1", PAPER),
     Operation.INTERSECTION: OperationSpec(
         Family.INTERSECT_PAIR, lambda a, b, strict: intersect_sf(a, b, strict=strict),
-        lambda m, n: m * n - (m + n) + 2, "mn-(m+n)+2", FoolingFamily.INTERSECTION),
+        lambda m, n: m * n - (m + n) + 2, "mn-(m+n)+2", PAPER),
     Operation.STAR: OperationSpec(
         Family.STAR, lambda a, strict: star_sf(a, strict=strict),
-        lambda m, n: m, "m", FoolingFamily.STAR, lambda_at_m1=True),
+        lambda m, n: m, "m", PAPER, lambda_at_m1=True),
     Operation.REVERSAL: OperationSpec(
         Family.REVERSAL, lambda a, strict: reverse_nfa(a, strict=strict),
         lambda m, n: m + 1, "m+1", SEARCH,
@@ -704,8 +654,10 @@ def certify(op: Operation, m: int, n: int | None = None, seed: int = 0) -> Compl
         n = None
     elif n is None:
         raise ParameterOutOfRange(f"{op.value} requires n")
+    paper = None
     if spec.lambda_at_m1 and m == 1:
-        operands = (lambda_nfa(alphabet("ab")),)
+        # {λ}, fooled by its one pair (λ, λ).
+        operands, paper = (lambda_nfa(alphabet("ab")),), FoolingSet((("", ""),))
     else:
         built = build(WitnessSpec(spec.witness, m, n))
         operands = built if spec.binary else (built,)
@@ -713,8 +665,8 @@ def certify(op: Operation, m: int, n: int | None = None, seed: int = 0) -> Compl
     formula = spec.formula(m, n)
     result = spec.construct(*operands, strict=False)
     fs = None
-    if isinstance(spec.lower, FoolingFamily):
-        fs = paper_fooling_set(spec.lower, m, n)
+    if spec.lower == PAPER:
+        fs = paper or paper_fooling_set(spec.witness, m, n)
         fs = fs if verify_fooling_set(result, fs) else None
     elif spec.lower == SEARCH:
         fs = search_fooling_set(result)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import product
 
 import click
 
@@ -261,25 +262,25 @@ def table(m_range, n_range, fmt, seed):
     complementation)."""
     ms = _parse_range(m_range)
     ns = _parse_range(n_range) if n_range else ms
-    # Each operation's largest witnesses pass `witnesses.build`'s checks
-    # before any certify, so a range past the load limits is refused at once.
-    for spec in OPERATIONS.values():
-        low = spec.witness.min_m
-        if ms[-1] >= low and not (spec.binary and ns[-1] < low):
-            checked_layout(WitnessSpec(spec.witness, ms[-1], ns[-1] if spec.binary else None))
-    rows = []
-    failed = False
+    # Each operation's rows, as ranges: its last row, its largest
+    # witnesses, passes `witnesses.build`'s checks before any certify, so a
+    # range past the load limits is refused at once.
+    plan = []
     for operation, spec in OPERATIONS.items():
         low = spec.witness.min_m
-        n_values = [n for n in ns if n >= low] if spec.binary else [None]
-        for m in ms:
-            if m < low:
-                continue
-            for n in n_values:
-                report = certify(operation, m, n, seed=seed)
-                if spec.expects_tight and not report.tight:
-                    failed = True
-                rows.append((report, _verdict(report)))
+        m_values = range(max(ms.start, low), ms.stop)
+        n_values = range(max(ns.start, low), ns.stop) if spec.binary else [None]
+        if m_values and n_values:
+            checked_layout(WitnessSpec(spec.witness, m_values[-1], n_values[-1]))
+            plan.append((operation, spec, product(m_values, n_values)))
+    rows = []
+    failed = False
+    for operation, spec, params in plan:
+        for m, n in params:
+            report = certify(operation, m, n, seed=seed)
+            if spec.expects_tight and not report.tight:
+                failed = True
+            rows.append((report, _verdict(report)))
     if fmt == "json":
         click.echo(json.dumps(
             [dict(report.to_dict(), verdict=v) for report, v in rows]

@@ -1,13 +1,19 @@
-"""Parameterized witness language families for the lower-bound arguments.
+"""Parameterized witness language families for the lower-bound arguments,
+and the paper's fooling sets for them.
 
 Each generator emits an explicit NFA (or pair of NFAs) of exactly the
 stated state count, over the smallest alphabet the family needs.  All
-outputs are suffix-free and non-returning.
+outputs are suffix-free and non-returning.  ``_RULES`` holds every fact
+about a family in one entry: its least m (and n), whether it is a pair,
+its layout, and the paper's fooling pairs where the paper has them.  The
+pairs fool the language whose bound the family witnesses: the lemma
+languages themselves, and the operation's result for the pairs and star.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .automata import Alphabet, Nfa, alphabet
@@ -28,27 +34,11 @@ class Family(enum.Enum):
     @property
     def min_m(self) -> int:
         """Least admissible m, and n for a pair family."""
-        return _MIN_M[self]
+        return _RULES[self].min_m
 
     @property
     def is_pair(self) -> bool:
-        return self in _PAIR_FAMILIES
-
-
-# Binary families need m >= 2; the two-symbol cycle family needs m >= 3;
-# the reversal family needs the d + cycle + b*/c* layout, so m >= 4.
-_MIN_M = {
-    Family.LEMMA_L1: 2,
-    Family.LEMMA_L2: 3,
-    Family.UNION_PAIR: 2,
-    Family.CONCAT_PAIR: 2,
-    Family.INTERSECT_PAIR: 2,
-    Family.STAR: 2,
-    Family.REVERSAL: 4,
-    Family.COMPLEMENT_PREFIXED: 2,
-}
-
-_PAIR_FAMILIES = {Family.UNION_PAIR, Family.CONCAT_PAIR, Family.INTERSECT_PAIR}
+        return _RULES[self].pair
 
 
 @dataclass(frozen=True)
@@ -138,29 +128,77 @@ def _complement_prefixed(m: int) -> tuple:
     return states + 1, alphabet("abc"), 0, [1], trans
 
 
+def _lemma_l1_pairs(m: int, n: None) -> list:
+    return [("", "b")] + [("b" + "a" * i, "a" * (m - 1 - i)) for i in range(m - 1)]
+
+
+def _lemma_l2_pairs(m: int, n: None) -> list:
+    return [("", "bb"), *[("b" + "a" * i, "a" * (m - 2 - i) + "b") for i in range(m - 2)],
+            ("b" + "a" * (m - 2) + "b", "")]
+
+
+def _union_pairs(m: int, n: int) -> list:
+    return [("", "b" + "a" * (m - 1)),
+            *[("b" + "a" * i, "a" * (m - 1 - i)) for i in range(m - 1)],
+            *[("a" + "b" * j, "b" * (n - 1 - j)) for j in range(n - 1)]]
+
+
+def _catenation_pairs(m: int, n: int) -> list:
+    total = m + n - 2
+    return [("a" * i, "a" * (total - i)) for i in range(total + 1)]
+
+
+def _intersection_pairs(m: int, n: int) -> list:
+    return [("", "c"), *[("c" + "a" * i + "b" * j, "a" * (m - 1 - i) + "b" * (n - 1 - j))
+                         for i in range(1, m) for j in range(1, n)]]
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One family: its least m (and n), whether it is a pair, its layout
+    ``(m, n) -> (shape, ...)`` and its paper fooling pairs ``(m, n) ->
+    pairs``, None where the paper has none."""
+
+    min_m: int
+    pair: bool
+    layout: Callable[[int, int | None], tuple[tuple, ...]]
+    fooling: Callable[[int, int | None], list] | None = None
+
+
+# Binary families need m >= 2; the two-symbol cycle family needs m >= 3;
+# the reversal family needs the d + cycle + b*/c* layout, so m >= 4.  Star
+# of b (a^(m-1))* is fooled by lemma-l1's own pairs.
+_RULES = {
+    Family.LEMMA_L1: _Rule(2, False, lambda m, n: (_lemma_l1(m),), _lemma_l1_pairs),
+    Family.LEMMA_L2: _Rule(3, False, lambda m, n: (_lemma_l2(m),), _lemma_l2_pairs),
+    # b (a^(m-1))* and its letter-swapped twin a (b^(n-1))*.
+    Family.UNION_PAIR: _Rule(2, True, lambda m, n: (
+        _lemma_l1(m), _symbol_then_cycle(n, alphabet("ab"), first=0, loop=1)), _union_pairs),
+    Family.CONCAT_PAIR: _Rule(2, True, lambda m, n: (_chain(m), _chain(n)), _catenation_pairs),
+    Family.INTERSECT_PAIR: _Rule(2, True, lambda m, n: (
+        _counter_after_c(m, counted=0, other=1), _counter_after_c(n, counted=1, other=0)),
+        _intersection_pairs),
+    Family.STAR: _Rule(2, False, lambda m, n: (_lemma_l1(m),), _lemma_l1_pairs),
+    Family.REVERSAL: _Rule(4, False, lambda m, n: (_reversal_witness(m),)),
+    Family.COMPLEMENT_PREFIXED: _Rule(2, False, lambda m, n: (_complement_prefixed(m),)),
+}
+
+
 def layout(spec: WitnessSpec) -> tuple[tuple, ...]:
     """The ``Nfa.from_edges`` arguments (states, alphabet, start, finals, edges)
     of each automaton of a witness family, one per operand, so that a
     caller can check their size before any successor mask is allocated."""
-    f, m, n = spec.family, spec.m, spec.n
-    if f in (Family.LEMMA_L1, Family.STAR):
-        return (_lemma_l1(m),)
-    if f is Family.LEMMA_L2:
-        return (_lemma_l2(m),)
-    if f is Family.UNION_PAIR:
-        # b (a^(m-1))* and its letter-swapped twin a (b^(n-1))*.
-        return _lemma_l1(m), _symbol_then_cycle(n, alphabet("ab"), first=0, loop=1)
-    if f is Family.CONCAT_PAIR:
-        return _chain(m), _chain(n)
-    if f is Family.INTERSECT_PAIR:
-        return _counter_after_c(m, counted=0, other=1), _counter_after_c(
-            n, counted=1, other=0
-        )
-    if f is Family.REVERSAL:
-        return (_reversal_witness(m),)
-    if f is Family.COMPLEMENT_PREFIXED:
-        return (_complement_prefixed(m),)
-    raise ParameterOutOfRange(f"unknown family: {f}")
+    return _RULES[spec.family].layout(spec.m, spec.n)
+
+
+def fooling_pairs(spec: WitnessSpec) -> tuple[tuple[str, str], ...]:
+    """The paper's fooling pairs for the language whose bound ``spec``
+    witnesses, or ``ParameterOutOfRange`` for a family the paper gives
+    none."""
+    fooling = _RULES[spec.family].fooling
+    if fooling is None:
+        raise ParameterOutOfRange(f"{spec.family.value} has no paper fooling set")
+    return tuple(fooling(spec.m, spec.n))
 
 
 def checked_layout(spec: WitnessSpec) -> tuple[tuple, ...]:

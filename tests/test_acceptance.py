@@ -14,7 +14,6 @@ from sfnfa.automata import (
     product_intersection_with_pairs,
 )
 from sfnfa.bounds import (
-    FoolingFamily,
     Operation,
     certify,
     nsc_exhaustive,
@@ -134,24 +133,24 @@ def test_criterion_7_fooling_set_soundness():
         for m in (2, 3):
             cases.append(
                 (build(WitnessSpec(Family.LEMMA_L1, m)),
-                 len(paper_fooling_set(FoolingFamily.LEMMA_L1, m)))
+                 len(paper_fooling_set(Family.LEMMA_L1, m)))
             )
             cases.append(
                 (star_sf(build(WitnessSpec(Family.STAR, m))),
-                 len(paper_fooling_set(FoolingFamily.STAR, m)))
+                 len(paper_fooling_set(Family.STAR, m)))
             )
         cases.append(
             (build(WitnessSpec(Family.LEMMA_L2, 3)),
-             len(paper_fooling_set(FoolingFamily.LEMMA_L2, 3)))
+             len(paper_fooling_set(Family.LEMMA_L2, 3)))
         )
         left, right = build(WitnessSpec(Family.UNION_PAIR, 2, 2))
         cases.append(
-            (union_sf(left, right), len(paper_fooling_set(FoolingFamily.UNION, 2, 2)))
+            (union_sf(left, right), len(paper_fooling_set(Family.UNION_PAIR, 2, 2)))
         )
         left, right = build(WitnessSpec(Family.CONCAT_PAIR, 2, 2))
         cases.append(
             (concat_sf(left, right),
-             len(paper_fooling_set(FoolingFamily.CATENATION, 2, 2)))
+             len(paper_fooling_set(Family.CONCAT_PAIR, 2, 2)))
         )
         for nfa, certificate in cases:
             assert verify_fooling_set is not None

@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -20,7 +21,6 @@ from sfnfa.automata import (
     trim,
 )
 from sfnfa.bounds import (
-    FoolingFamily,
     FoolingSet,
     LowerBoundKind,
     Operation,
@@ -92,20 +92,20 @@ def _paper_cases():
     cases = []
     for m in range(2, 7):
         cases.append((f"lemma-l1 {m}", build(WitnessSpec(Family.LEMMA_L1, m)),
-                      paper_fooling_set(FoolingFamily.LEMMA_L1, m)))
+                      paper_fooling_set(Family.LEMMA_L1, m)))
         if m >= 3:
             cases.append((f"lemma-l2 {m}", build(WitnessSpec(Family.LEMMA_L2, m)),
-                          paper_fooling_set(FoolingFamily.LEMMA_L2, m)))
+                          paper_fooling_set(Family.LEMMA_L2, m)))
         cases.append((f"star {m}", star_sf(build(WitnessSpec(Family.STAR, m))),
-                      paper_fooling_set(FoolingFamily.STAR, m)))
+                      paper_fooling_set(Family.STAR, m)))
         for n in range(2, 7):
-            for family, witness, construct in (
-                (FoolingFamily.UNION, Family.UNION_PAIR, union_sf),
-                (FoolingFamily.CATENATION, Family.CONCAT_PAIR, concat_sf),
-                (FoolingFamily.INTERSECTION, Family.INTERSECT_PAIR, intersect_sf),
+            for name, family, construct in (
+                ("union", Family.UNION_PAIR, union_sf),
+                ("catenation", Family.CONCAT_PAIR, concat_sf),
+                ("intersection", Family.INTERSECT_PAIR, intersect_sf),
             ):
-                cases.append((f"{family.value} {m} {n}",
-                              construct(*build(WitnessSpec(witness, m, n))),
+                cases.append((f"{name} {m} {n}",
+                              construct(*build(WitnessSpec(family, m, n))),
                               paper_fooling_set(family, m, n)))
     return cases
 
@@ -190,6 +190,12 @@ def _mutate(rng, pairs, labels):
     return pairs
 
 
+def _search_with_limit(a, limit):
+    """The fooling-set search stopped at its first set of ``limit`` pairs,
+    as ``nsc_exhaustive`` runs it."""
+    return bounds._fooling_cells(trim(remove_lambda(a)), limit)[2]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from(["ab", "abc"]),
        st.sampled_from([0.0, 0.15, 0.3]),
@@ -207,11 +213,11 @@ def test_verifier_matches_pairwise_oracle(seed, labels, lambda_prob, source):
         _both_verify(a, [(text(), text()) for _ in range(rng.randrange(1, 6))])
         return
     if source != "paper":
-        # The limit keeps the clique search fast on 7 states.  An empty
-        # language, or a matrix over the cell cap, gives no set, and a
-        # paper family stands in.
+        # A limit of 4 pairs keeps the clique search fast on 7 states.  An
+        # empty language, or a matrix over the cell cap, gives no set, and
+        # a paper family stands in.
         try:
-            fs = search_fooling_set(a, limit=4)
+            fs = _search_with_limit(a, 4)
         except SearchBudgetExceeded:
             pass
     if fs is None:
@@ -223,32 +229,50 @@ def test_verifier_matches_pairwise_oracle(seed, labels, lambda_prob, source):
 
 class TestPaperFoolingSet:
     def test_catenation_m3_n3(self):
-        fs = paper_fooling_set(FoolingFamily.CATENATION, 3, 3)
+        fs = paper_fooling_set(Family.CONCAT_PAIR, 3, 3)
         assert fs.pairs == (
             ("", "aaaa"), ("a", "aaa"), ("aa", "aa"), ("aaa", "a"), ("aaaa", ""),
         )
 
     def test_intersection_m2_n2(self):
-        fs = paper_fooling_set(FoolingFamily.INTERSECTION, 2, 2)
+        fs = paper_fooling_set(Family.INTERSECT_PAIR, 2, 2)
         assert fs.pairs == (("", "c"), ("cab", ""))
 
     def test_star_m4(self):
-        fs = paper_fooling_set(FoolingFamily.STAR, 4)
+        fs = paper_fooling_set(Family.STAR, 4)
         assert fs.pairs == (("", "b"), ("b", "aaa"), ("ba", "aa"), ("baa", "a"))
 
     def test_cardinalities(self):
-        assert len(paper_fooling_set(FoolingFamily.LEMMA_L1, 5)) == 5
-        assert len(paper_fooling_set(FoolingFamily.LEMMA_L2, 5)) == 5
-        assert len(paper_fooling_set(FoolingFamily.UNION, 4, 3)) == 6
-        assert len(paper_fooling_set(FoolingFamily.CATENATION, 4, 5)) == 8
-        assert len(paper_fooling_set(FoolingFamily.INTERSECTION, 4, 3)) == 7
-        assert len(paper_fooling_set(FoolingFamily.STAR, 6)) == 6
+        assert len(paper_fooling_set(Family.LEMMA_L1, 5)) == 5
+        assert len(paper_fooling_set(Family.LEMMA_L2, 5)) == 5
+        assert len(paper_fooling_set(Family.UNION_PAIR, 4, 3)) == 6
+        assert len(paper_fooling_set(Family.CONCAT_PAIR, 4, 5)) == 8
+        assert len(paper_fooling_set(Family.INTERSECT_PAIR, 4, 3)) == 7
+        assert len(paper_fooling_set(Family.STAR, 6)) == 6
 
     def test_out_of_range(self):
         with pytest.raises(ParameterOutOfRange):
-            paper_fooling_set(FoolingFamily.LEMMA_L2, 2)
+            paper_fooling_set(Family.LEMMA_L2, 2)
         with pytest.raises(ParameterOutOfRange):
-            paper_fooling_set(FoolingFamily.UNION, 2)
+            paper_fooling_set(Family.UNION_PAIR, 2)
+
+    @pytest.mark.parametrize("family, m, n", [
+        (Family.STAR, 0, None), (Family.STAR, -3, None), (Family.STAR, 1, None),
+        (Family.LEMMA_L1, 3, 5), (Family.LEMMA_L2, 2, None),
+        (Family.UNION_PAIR, 2, None), (Family.INTERSECT_PAIR, 3, 1),
+    ])
+    def test_refuses_what_the_witness_refuses(self, family, m, n):
+        # The same check, so the same message: no set for an (m, n) that no
+        # witness has, and no n silently dropped.
+        with pytest.raises(ParameterOutOfRange) as refused:
+            WitnessSpec(family, m, n)
+        with pytest.raises(ParameterOutOfRange, match=re.escape(str(refused.value))):
+            paper_fooling_set(family, m, n)
+
+    @pytest.mark.parametrize("family", [Family.REVERSAL, Family.COMPLEMENT_PREFIXED])
+    def test_families_without_a_paper_set(self, family):
+        with pytest.raises(ParameterOutOfRange, match="has no paper fooling set"):
+            paper_fooling_set(family, 5)
 
     def test_all_families_verify_on_constructions_up_to_6(self):
         for name, a, fs in PAPER_CASES:
@@ -330,7 +354,7 @@ def test_search_with_limit_returns_min_of_limit_and_maximum(seed, returning, lim
     rng = random.Random(seed)
     a = (random_nfa if returning else random_non_returning_nfa)(rng, max_states=6)
     exact = search_fooling_set(a)
-    fs = search_fooling_set(a, limit=limit)
+    fs = _search_with_limit(a, limit)
     if exact is None:
         assert fs is None
     else:
@@ -342,7 +366,7 @@ def test_limit_bounds_the_slow_clique_search():
     # A 10-state NFA with a 378-cell clique graph; the minimal-NFA search
     # only asks for max_states + 1 pairs.
     a = random_nfa(random.Random(30), max_states=10, lambda_prob=0)
-    fs = search_fooling_set(a, limit=4)
+    fs = _search_with_limit(a, 4)
     assert len(fs) == 4 and verify_fooling_set(a, fs)
     assert nsc_exhaustive(a, 3) == nsc_without_stop(a, 3)
 
@@ -451,7 +475,7 @@ class TestNscExhaustive:
 
     def test_lemma_l1_m3_matches_certificate(self):
         w = build(WitnessSpec(Family.LEMMA_L1, 3))
-        assert nsc_exhaustive(w, 3) == len(paper_fooling_set(FoolingFamily.LEMMA_L1, 3))
+        assert nsc_exhaustive(w, 3) == len(paper_fooling_set(Family.LEMMA_L1, 3))
 
     def test_ceiling_enforced(self):
         # The ceiling holds for a size that would be enumerated: here the
@@ -617,7 +641,7 @@ class TestNscStop:
         # masks; each label must be the membership of the node's word.
         seen = []
 
-        def recording(k, s, parents, symbols, labels, cap):
+        def recording(k, s, parents, symbols, labels):
             seen.append((k, labels))
             return []
 
@@ -666,18 +690,17 @@ class TestNscStop:
         assert self.searched(monkeypatch, a, 3) == (2, [])
 
     def test_no_answer_from_a_truncated_survivor_list(self, monkeypatch):
-        # No bound settles k=2 for the cycles past the cell cap.
+        # No bound settles k=2 for the cycles past the cell cap.  The table
+        # search and its caller read the one cap at call time.
         a = self.CYCLES
-        seen = []
 
-        def capped(k, s, parents, symbols, labels, cap):
-            seen.append(cap)
-            return [((0,) * (k * s), 0)] * cap
+        def capped(k, s, parents, symbols, labels):
+            return [((0,) * (k * s), 0)] * _kernel.SURVIVOR_CAP
 
+        monkeypatch.setattr(_kernel, "SURVIVOR_CAP", 7)
         monkeypatch.setattr(_kernel, "filter_tables", capped)
-        with pytest.raises(BudgetExceeded, match="survivors"):
+        with pytest.raises(BudgetExceeded, match="kept 7 survivors, its cap"):
             nsc_exhaustive(a, 2)
-        assert seen == [bounds._SURVIVOR_CAP]
 
 
 class TestNscStages:

@@ -382,7 +382,7 @@ class TestCertificateChecks:
 
     def test_fooling_floor_above_the_stop(self, monkeypatch):
         # A 4-pair set for a language with a 3-state NFA contradicts itself.
-        four = bounds.paper_fooling_set(bounds.FoolingFamily.LEMMA_L1, 4)
+        four = bounds.paper_fooling_set(Family.LEMMA_L1, 4)
         monkeypatch.setattr(bounds, "_fooling_cells", lambda t, limit: (None, None, four))
         with pytest.raises(CertificateError, match="4 pairs exceeds an NFA of 3 states"):
             bounds.nsc_exhaustive(build(WitnessSpec(Family.LEMMA_L1, 3)), 3)
@@ -402,12 +402,13 @@ class TestCertificateChecks:
 def test_certificate_checks_run_under_optimize():
     """The checks above stay explicit raises: an ``assert`` in their place
     would be stripped by ``python -O`` and the class would fail there.  The
-    fooling-set verifier must reject the mutated paper sets there too, and
-    the survivor walk and the suffix-overlap walk must agree with their
-    oracles there, the cover search must still drop a cover whose NFA
-    fails its equivalence check, ``Nfa`` must still refuse bad masks, the
-    Moore blocks must still agree with the canonical DFA, and the CLI must
-    still map every package error to its exit code."""
+    fooling-set verifier must reject the mutated paper sets there too, a
+    paper set must be refused wherever its witness is, the survivor walk
+    and the suffix-overlap walk must agree with their oracles there, the
+    cover search must still drop a cover whose NFA fails its equivalence
+    check, ``Nfa`` must still refuse bad masks, the Moore blocks must
+    still agree with the canonical DFA, and the CLI must still map every
+    package error to its exit code."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -415,6 +416,7 @@ def test_certificate_checks_run_under_optimize():
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_constructions.py::TestCertificateChecks",
          "tests/test_bounds.py::TestFoolingSetMutations",
+         "tests/test_bounds.py::TestPaperFoolingSet::test_refuses_what_the_witness_refuses",
          "tests/test_bounds.py::TestSurvivorDecision",
          "tests/test_bounds.py::TestCoverSearch",
          "tests/test_suffix_free.py::TestWalkAgainstSetOracle",

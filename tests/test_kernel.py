@@ -45,9 +45,10 @@ def test_empty_language_keeps_every_table():
     assert all(not finals & 1 for _, finals in survivors)
 
 
-def test_cap_keeps_the_least_encodings():
+def test_cap_keeps_the_least_encodings(monkeypatch):
     args = (2, 2) + sample(empty_nfa(alphabet("ab")), 2)
-    assert filter_tables(*args, cap=10) == numpy_filter.filter_tables(*args, cap=10)
+    monkeypatch.setattr(_kernel, "SURVIVOR_CAP", 10)
+    assert filter_tables(*args) == numpy_filter.filter_tables(*args, cap=10)
 
 
 def test_cap_stops_the_expansion_of_a_rejected_only_k3_trie(monkeypatch):
@@ -69,8 +70,9 @@ def test_cap_stops_the_expansion_of_a_rejected_only_k3_trie(monkeypatch):
 
     monkeypatch.setattr(_kernel, "product", counting)
     for cap in (1, 10):
+        monkeypatch.setattr(_kernel, "SURVIVOR_CAP", cap)
         built = 0
-        assert filter_tables(*args, cap=cap) == want[:cap]
+        assert filter_tables(*args) == want[:cap]
         assert built < 2000
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from sfnfa.automata import accepts, enumerate_words
-from sfnfa.bounds import FoolingFamily, paper_fooling_set, verify_fooling_set
+from sfnfa.bounds import paper_fooling_set, verify_fooling_set
 from sfnfa.errors import ParameterOutOfRange
 from sfnfa.suffixfree import is_non_returning, is_suffix_free
 from sfnfa.witnesses import Family, WitnessSpec, build
@@ -81,11 +81,11 @@ class TestNscCertificates:
     def test_paper_fooling_sets_match_generator_sizes(self):
         for m in range(2, 7):
             w = build(WitnessSpec(Family.LEMMA_L1, m))
-            fs = paper_fooling_set(FoolingFamily.LEMMA_L1, m)
+            fs = paper_fooling_set(Family.LEMMA_L1, m)
             assert len(fs) == m and verify_fooling_set(w, fs)
         for m in range(3, 7):
             w = build(WitnessSpec(Family.LEMMA_L2, m))
-            fs = paper_fooling_set(FoolingFamily.LEMMA_L2, m)
+            fs = paper_fooling_set(Family.LEMMA_L2, m)
             assert len(fs) == m and verify_fooling_set(w, fs)
 
     def test_reversal_reverse_enumeration(self):
