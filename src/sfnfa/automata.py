@@ -14,7 +14,7 @@ automata can be shared freely between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from operator import or_
 
@@ -67,7 +67,7 @@ class Nfa:
     ``lam[q]`` the mask of those it reaches on a lambda edge, and
     ``final_mask`` the mask of the final states.  ``from_edges`` builds one
     from a list of edges; ``finals`` and ``transitions`` are read back from
-    the masks."""
+    the masks.  ``remove_lambda``'s result is cached outside the fields."""
 
     state_count: int
     alphabet: Alphabet
@@ -131,6 +131,19 @@ class Nfa:
     def has_lambda(self) -> bool:
         return any(self.lam)
 
+    @cached_property
+    def _lambda_free(self) -> Nfa:
+        """The lambda-free form that ``remove_lambda`` returns, built once."""
+        n, symbols = self.state_count, range(self.alphabet.size)
+        final_mask = 0
+        succ = []
+        for p in range(n):
+            closure = _reach(self.lam, 1 << p)
+            if closure & self.final_mask:
+                final_mask |= 1 << p
+            succ.append(tuple(step(self.succ, closure, x) for x in symbols))
+        return Nfa(n, self.alphabet, self.start, final_mask, tuple(succ), (0,) * n)
+
 
 def bits(mask: int):
     """The states of a bitmask, ascending."""
@@ -191,22 +204,14 @@ def _reach(adj, mask: int) -> int:
 
 
 def remove_lambda(a: Nfa) -> Nfa:
-    """Equivalent lambda-free NFA on the same state set.
+    """Equivalent lambda-free NFA on the same state set, built once per
+    automaton: the one place where lambda edges are closed.
 
     delta'(p, x) is the union of delta(q, x) over the closure of p, and p
-    becomes final when its closure meets the final set.
+    becomes final when its closure meets the final set.  An automaton
+    without lambda edges is its own.
     """
-    if not a.has_lambda:
-        return a
-    symbols = range(a.alphabet.size)
-    final_mask = 0
-    succ = []
-    for p in range(a.state_count):
-        closure = _reach(a.lam, 1 << p)
-        if closure & a.final_mask:
-            final_mask |= 1 << p
-        succ.append(tuple(step(a.succ, closure, x) for x in symbols))
-    return Nfa(a.state_count, a.alphabet, a.start, final_mask, tuple(succ), (0,) * a.state_count)
+    return a._lambda_free if a.has_lambda else a
 
 
 def trim(a: Nfa) -> Nfa:
@@ -242,13 +247,11 @@ def trim(a: Nfa) -> Nfa:
 
 
 def accepts(a: Nfa, w: Word) -> bool:
-    """Forward state-mask simulation, closing under lambda edges if any."""
-    closed = a.has_lambda
-    cur = _reach(a.lam, 1 << a.start) if closed else 1 << a.start
+    """Forward state-mask simulation of ``remove_lambda(a)``."""
+    a = remove_lambda(a)
+    cur = 1 << a.start
     for c in w:
         cur = step(a.succ, cur, c)
-        if closed:
-            cur = _reach(a.lam, cur)
         if not cur:
             return False
     return bool(cur & a.final_mask)
@@ -318,16 +321,11 @@ def _subset_walk(rows, start: int) -> tuple[list[list[int]], list[int]]:
 
 
 def _subset_dfa(a: Nfa) -> tuple[list[list[int]], list[bool]]:
-    """The subset DFA of ``a`` as a complete table (lists of successor
-    indices, start 0) and its final flags.  With lambda edges the subset
-    walk runs on lambda-closed sets: each successor mask is closed, so a
-    closed set steps to the closure of its successors, and no lambda-free
-    automaton is built."""
-    rows, start = a.succ, 1 << a.start
-    if a.has_lambda:
-        rows = [[_reach(a.lam, m) for m in row] for row in a.succ]
-        start = _reach(a.lam, start)
-    table, order = _subset_walk(rows, start)
+    """The subset DFA of ``remove_lambda(a)`` as a complete table (lists of
+    successor indices, start 0) and its final flags.  Its callers read only
+    language facts from it: Moore blocks, live states, the minimal DFA."""
+    a = remove_lambda(a)
+    table, order = _subset_walk(a.succ, 1 << a.start)
     return table, [bool(sub & a.final_mask) for sub in order]
 
 

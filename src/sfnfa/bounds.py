@@ -611,6 +611,11 @@ class OperationSpec:
         return self.witness.is_pair
 
     @property
+    def min_m(self) -> int:
+        """Least m: 1 where {λ} stands in, else the witness family's."""
+        return 1 if self.lambda_at_m1 else self.witness.min_m
+
+    @property
     def expects_tight(self) -> bool:
         return self.lower == PAPER
 
@@ -655,7 +660,7 @@ def certify(op: Operation, m: int, n: int | None = None, seed: int = 0) -> Compl
     elif n is None:
         raise ParameterOutOfRange(f"{op.value} requires n")
     paper = None
-    if spec.lambda_at_m1 and m == 1:
+    if m == spec.min_m < spec.witness.min_m:
         # {λ}, fooled by its one pair (λ, λ).
         operands, paper = (lambda_nfa(alphabet("ab")),), FoolingSet((("", ""),))
     else:

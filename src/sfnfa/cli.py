@@ -262,16 +262,17 @@ def table(m_range, n_range, fmt, seed):
     complementation)."""
     ms = _parse_range(m_range)
     ns = _parse_range(n_range) if n_range else ms
-    # Each operation's rows, as ranges: its last row, its largest
-    # witnesses, passes `witnesses.build`'s checks before any certify, so a
+    # Each operation's rows, as ranges from `spec.min_m`: its last row, unless
+    # it is {λ}, passes `witnesses.build`'s checks before any certify, so a
     # range past the load limits is refused at once.
     plan = []
     for operation, spec in OPERATIONS.items():
         low = spec.witness.min_m
-        m_values = range(max(ms.start, low), ms.stop)
+        m_values = range(max(ms.start, spec.min_m), ms.stop)
         n_values = range(max(ns.start, low), ns.stop) if spec.binary else [None]
         if m_values and n_values:
-            checked_layout(WitnessSpec(spec.witness, m_values[-1], n_values[-1]))
+            if m_values[-1] >= low:
+                checked_layout(WitnessSpec(spec.witness, m_values[-1], n_values[-1]))
             plan.append((operation, spec, product(m_values, n_values)))
     rows = []
     failed = False

@@ -158,7 +158,28 @@ class TestRemoveLambda:
             out = remove_lambda(a)
             assert not out.has_lambda
             for word in all_words(a.alphabet, 5):
-                assert accepts(a, word) == accepts(out, word)
+                assert accepts(a, word) == accepts(out, word) == set_oracle.accepts(a, word)
+
+    def test_lambda_edges_are_closed_once_per_automaton(self, monkeypatch):
+        # After the first remove_lambda, the readers of the language of a
+        # lambda automaton share its one lambda-free form.
+        rng = random.Random(5)
+        nfas = [a for a in (random_nfa(rng, lambda_prob=0.3) for _ in range(40)) if a.has_lambda]
+        assert len(nfas) >= 10
+        calls = []
+        real = sfnfa.automata._reach
+        monkeypatch.setattr(sfnfa.automata, "_reach",
+                            lambda adj, mask: calls.append(mask) or real(adj, mask))
+        for a in nfas:
+            out = remove_lambda(a)
+            assert calls
+            calls.clear()
+            assert remove_lambda(a) is out
+            for word in all_words(a.alphabet, 4):
+                accepts(a, word)
+            canonical_dfa(a)
+            enumerate_words(a, 4)
+            assert calls == []
 
 
 class TestTrim:
@@ -382,7 +403,8 @@ def test_membership_agreement_property(seed, word_len):
     word = tuple(rng.randrange(a.alphabet.size) for _ in range(word_len))
     lam_free = remove_lambda(a)
     d = determinize(lam_free)
-    assert accepts(a, word) == accepts(lam_free, word) == accepts(d, word)
+    assert (set_oracle.accepts(a, word) == accepts(a, word) == accepts(lam_free, word)
+            == accepts(d, word))
 
 
 def test_membership_agreement_up_to_length_12():
@@ -391,7 +413,8 @@ def test_membership_agreement_up_to_length_12():
     lam_free = remove_lambda(a)
     d = determinize(lam_free)
     for word in all_words(a.alphabet, 12):
-        assert accepts(a, word) == accepts(lam_free, word) == accepts(d, word)
+        assert (set_oracle.accepts(a, word) == accepts(a, word) == accepts(lam_free, word)
+                == accepts(d, word))
 
 
 @settings(max_examples=200, deadline=None)

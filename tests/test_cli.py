@@ -358,6 +358,20 @@ class TestCertifyTable:
         assert "error: bad range" in result.output
         assert "operation" not in result.output
 
+    def test_table_star_row_at_m1_is_certify_star(self, runner):
+        # {λ} stands in for star's witness at m=1, in the table as in certify;
+        # a table whose last star row is {λ} checks no witness layout.
+        certified = runner.invoke(main, ["certify", "star", "--m", "1", "--json"])
+        assert certified.exit_code == 0
+        want = [dict(json.loads(certified.output), verdict="TIGHT")]
+        both = runner.invoke(main, ["table", "--m", "1..2", "--n", "2..2", "--format", "json"])
+        assert both.exit_code == 0
+        assert [r for r in json.loads(both.output)
+                if r["operation"] == "star" and r["m"] == 1] == want
+        alone = runner.invoke(main, ["table", "--m", "1..1", "--format", "json"])
+        assert alone.exit_code == 0
+        assert json.loads(alone.output) == want
+
     def test_table_deterministic(self, runner):
         a = runner.invoke(main, ["table", "--m", "2..4", "--format", "csv"])
         b = runner.invoke(main, ["table", "--m", "2..4", "--format", "csv"])

@@ -407,8 +407,9 @@ def test_certificate_checks_run_under_optimize():
     and the suffix-overlap walk must agree with their oracles there, the
     cover search must still drop a cover whose NFA fails its equivalence
     check, ``Nfa`` must still refuse bad masks, the Moore blocks must
-    still agree with the canonical DFA, and the CLI must still map every
-    package error to its exit code."""
+    still agree with the canonical DFA, the CLI must still map every
+    package error to its exit code, and the table's star row at m=1 must
+    still be the one ``certify`` gives."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -423,7 +424,8 @@ def test_certificate_checks_run_under_optimize():
          "tests/test_automata.py::TestNfaValidation",
          "tests/test_automata.py::TestDfaShape",
          "tests/test_automata.py::TestMoorePartition",
-         "tests/test_cli.py::TestExitCodes"],
+         "tests/test_cli.py::TestExitCodes",
+         "tests/test_cli.py::TestCertifyTable::test_table_star_row_at_m1_is_certify_star"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
